@@ -1,0 +1,142 @@
+"""Per-step cost of one pair channel by family and register size, and one m=12 run.
+
+    python3 benchmarks/apply_scaling.py [--src DIR] [--sizes 4 6 8 10 12] [--run-m 12] [--out FILE]
+
+Imports `qconsensus` from `--src` (default: `src/` of this checkout), so the
+same script measures any checkout of the package.  For every m in `--sizes`
+and every family it times, on the pair (m//2, m//2 + 1) and a seeded dense
+state:
+
+* build_s: constructing the channel (`neighborhood_channel`);
+* apply_s: one `apply_channel(..., validate=False)`;
+* validate_s: one `validate_density_matrix` of the output;
+* purity_s: one `purity` of the output.
+
+Each is the median of several repeats.  With `--run-m M` it also runs
+`simulator.run` for one cyclic sweep of the ssc family on an M-site path graph
+with validation on, from a rank-16 random state (cheap to draw at any size),
+and reports seconds per step and the peak resident memory of the process.
+The result is printed as JSON, and written to `--out` when given.  BLAS runs
+on one thread unless OPENBLAS_NUM_THREADS is set.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import resource
+import statistics
+import sys
+import time
+from pathlib import Path
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+FAMILIES = ("gossip", "ssc", "smc")
+
+
+def repeats_for(m: int) -> int:
+    return 20 if m <= 8 else 5 if m <= 10 else 3
+
+
+def median_time(fn, repeats: int) -> float:
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
+def low_rank_density(seed: int, dim: int, rank: int = 16) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def layer_times(m: int) -> dict:
+    """Median build, apply, validate and purity time per family at size m."""
+    from qconsensus.dynamics import ChannelFamily, neighborhood_channel
+    from qconsensus.qcore import apply_channel, purity, validate_density_matrix
+    from qconsensus.simulator import random_density
+
+    pair = (m // 2, m // 2 + 1)
+    rho = random_density(m, 1 << m) if m <= 10 else low_rank_density(m, 1 << m)
+    repeats = repeats_for(m)
+    out = {}
+    for kind in FAMILIES:
+        family = ChannelFamily(kind)
+        channel = neighborhood_channel(family, pair, m)
+        after = apply_channel(channel, rho, validate=False)
+        out[kind] = {
+            "build_s": median_time(lambda: neighborhood_channel(family, pair, m), repeats),
+            "apply_s": median_time(lambda: apply_channel(channel, rho, validate=False), repeats),
+            "validate_s": median_time(lambda: validate_density_matrix(after), repeats),
+            "purity_s": median_time(lambda: purity(after), repeats),
+            "repeats": repeats,
+        }
+        del channel, after
+    return out
+
+
+def sweep_run(m: int) -> dict:
+    """One cyclic ssc sweep of an m-site path graph, validation on."""
+    from qconsensus.dynamics import ChannelFamily
+    from qconsensus.network import NetworkTopology
+    from qconsensus.simulator import Schedule, run
+
+    topology = NetworkTopology(m=m, neighborhoods=tuple((i, i + 1) for i in range(1, m)))
+    rho0 = low_rank_density(0, 1 << m)
+    steps = m - 1
+    start = time.perf_counter()
+    result = run(rho0, topology, ChannelFamily.ssc(), Schedule.cyclic(), steps, validate=True)
+    elapsed = time.perf_counter() - start
+    last = result.records[-1]
+    return {
+        "m": m,
+        "family": "ssc",
+        "steps": steps,
+        "validate": True,
+        "initial_state": "rank-16 random density, seed 0",
+        "total_s": elapsed,
+        "s_per_step": elapsed / steps,
+        "final_trace": float(np.trace(result.final_state).real),
+        "s_drift": abs(last.s_expectation - result.records[0].s_expectation),
+        "final_v_total": last.v_total,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src")
+    parser.add_argument("--sizes", type=int, nargs="*", default=[4, 6, 8, 10, 12])
+    parser.add_argument("--run-m", type=int, default=None)
+    parser.add_argument("--out", type=Path, default=None)
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(args.src.resolve()))
+    result = {
+        "machine": {
+            "nproc": len(os.sched_getaffinity(0)),
+            "numpy": np.__version__,
+            "blas_threads_env": os.environ["OPENBLAS_NUM_THREADS"],
+        },
+        "pair": "(m//2, m//2 + 1)",
+        "per_step": {str(m): layer_times(m) for m in args.sizes},
+    }
+    if args.run_m is not None:
+        result["run"] = sweep_run(args.run_m)
+    text = json.dumps(result, indent=1)
+    if args.out is not None:
+        args.out.write_text(text + "\n", encoding="utf-8")
+    print(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import NetworkTopology, embed_neighborhood
+from .network import NetworkTopology
 from .qcore import KrausChannel
+from .symmetry import smc_projector
 
 __all__ = [
     "ChannelFamily",
@@ -38,6 +39,8 @@ __all__ = [
 
 FAMILY_KINDS = ("gossip", "ssc", "smc")
 
+# Two-qubit swap; in the excitation-ordered basis below the same matrix
+# exchanges the symmetric and antisymmetric vectors.
 _SWAP2 = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
@@ -107,14 +110,9 @@ def gossip_channel(pair, m: int, alpha: float) -> KrausChannel:
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"gossip mixing weight must lie in (0, 1), got {alpha}")
-    dim = 1 << m
-    swap = embed_neighborhood(_SWAP2, pair, m)
-    ops = (
-        np.sqrt(1.0 - alpha) * np.eye(dim, dtype=complex),
-        np.sqrt(alpha) * swap,
-    )
+    ops = (np.sqrt(1.0 - alpha) * np.eye(4, dtype=complex), np.sqrt(alpha) * _SWAP2)
     j, k = sorted(int(s) for s in pair)
-    return KrausChannel(ops, label=f"gossip({j},{k}|alpha={alpha:g})")
+    return KrausChannel(ops, label=f"gossip({j},{k}|alpha={alpha:g})", sites=(j, k), m=m)
 
 
 def ssc_pair_channel() -> KrausChannel:
@@ -135,11 +133,9 @@ def ssc_pair_channel() -> KrausChannel:
 
 
 def ssc_channel(pair, m: int) -> KrausChannel:
-    """The ssc pair map embedded on sites (j, k) of an m-qubit network."""
-    local = ssc_pair_channel()
-    ops = tuple(embed_neighborhood(a, pair, m) for a in local.kraus_ops)
+    """The ssc pair map on sites (j, k) of an m-qubit network."""
     j, k = sorted(int(s) for s in pair)
-    return KrausChannel(ops, label=f"ssc({j},{k})")
+    return KrausChannel(ssc_pair_channel().kraus_ops, label=f"ssc({j},{k})", sites=(j, k), m=m)
 
 
 def ssc_feedback_decomposition() -> FeedbackDecomposition:
@@ -151,13 +147,9 @@ def ssc_feedback_decomposition() -> FeedbackDecomposition:
     since the correction is only ever applied after outcome 1).
     """
     b = _PAIR_EXCITATION_BASIS
-    proj_block = np.diag([1.0, 1.0, 0.0, 1.0]).astype(complex)
-    swap_block = np.array(
-        [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-    )
-    p2 = b @ proj_block @ b.conj().T
+    p2 = ssc_pair_channel().kraus_ops[1]
     p1 = np.eye(4, dtype=complex) - p2
-    u1 = b @ swap_block @ b.conj().T
+    u1 = b @ _SWAP2 @ b.conj().T
     return FeedbackDecomposition(projector_1=p1, projector_2=p2, correction_unitary=u1)
 
 
@@ -181,10 +173,7 @@ def smc_neighborhood_channel(n_sites: int) -> KrausChannel:
     if n_sites < 2:
         raise ValueError(f"need at least 2 sites in a neighborhood, got {n_sites}")
     dim = 1 << n_sites
-    sym = np.zeros((dim, dim), dtype=complex)
-    sym[0, 0] = 1.0
-    sym[dim - 1, dim - 1] = 1.0
-    ops = [sym]
+    ops = [smc_projector(n_sites)]
     for k in range(1, dim - 1):
         zeros = n_sites - bin(k).count("1")
         p0 = zeros / n_sites
@@ -197,11 +186,9 @@ def smc_neighborhood_channel(n_sites: int) -> KrausChannel:
 
 
 def smc_channel(pair, m: int) -> KrausChannel:
-    """The two-site smc map embedded on sites (j, k) of an m-qubit network."""
-    local = smc_neighborhood_channel(2)
-    ops = tuple(embed_neighborhood(a, pair, m) for a in local.kraus_ops)
+    """The two-site smc map on sites (j, k) of an m-qubit network."""
     j, k = sorted(int(s) for s in pair)
-    return KrausChannel(ops, label=f"smc({j},{k})")
+    return KrausChannel(smc_neighborhood_channel(2).kraus_ops, label=f"smc({j},{k})", sites=(j, k), m=m)
 
 
 def neighborhood_channel(family: ChannelFamily, pair, m: int) -> KrausChannel:

@@ -108,7 +108,9 @@ def validate_density_matrix(
 
     Returns the input as a complex array; raises ValueError naming the first
     violated property.  The PSD check uses an eigenvalue floor of -psd_atol
-    because channel arithmetic accumulates rounding.
+    because channel arithmetic accumulates rounding.  A Cholesky factorization
+    of the Hermitian part plus psd_atol * I decides it; eigvalsh runs only
+    when that factorization fails.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -119,9 +121,14 @@ def validate_density_matrix(
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > trace_atol:
         raise ValueError(f"trace {tr:.12g} deviates from 1 by more than {trace_atol:.1e}")
-    min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
-    if min_eig < -psd_atol:
-        raise ValueError(f"not positive semidefinite: min eigenvalue {min_eig:.3e}")
+    shifted = 0.5 * (rho + rho.conj().T)
+    shifted.flat[:: len(shifted) + 1] += psd_atol
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        min_eig = float(np.linalg.eigvalsh(shifted)[0]) - psd_atol
+        if min_eig < -psd_atol:
+            raise ValueError(f"not positive semidefinite: min eigenvalue {min_eig:.3e}") from None
     return rho
 
 
@@ -157,7 +164,7 @@ def partial_trace(rho: np.ndarray, m: int, keep) -> np.ndarray:
 def purity(rho: np.ndarray) -> float:
     """Tr(rho^2); 1 for pure states, 1/dim for the maximally mixed state."""
     rho = np.asarray(rho, dtype=complex)
-    return float(np.real(np.trace(rho @ rho)))
+    return float(np.real(np.einsum("ij,ji->", rho, rho)))
 
 
 def expectation(rho: np.ndarray, x: np.ndarray, *, hermiticity_atol: float = HERMITICITY_ATOL) -> float:
@@ -178,19 +185,27 @@ def pure_state_fidelity(rho: np.ndarray, psi: np.ndarray) -> float:
     return float(np.real(psi.conj() @ np.asarray(rho, dtype=complex) @ psi))
 
 
+def _kraus_list(channel_or_ops):
+    if isinstance(channel_or_ops, KrausChannel):
+        return list(channel_or_ops.kraus_ops)
+    return [np.asarray(a, dtype=complex) for a in channel_or_ops]
+
+
 def completeness_residual(kraus_ops) -> float:
     """Max-abs norm of sum_k A_k^dag A_k - I."""
-    ops = [np.asarray(a, dtype=complex) for a in kraus_ops]
-    dim = ops[0].shape[0]
-    acc = np.zeros((dim, dim), dtype=complex)
-    for a in ops:
-        acc += a.conj().T @ a
-    return float(np.max(np.abs(acc - np.eye(dim))))
+    acc = sum(a.conj().T @ a for a in _kraus_list(kraus_ops))
+    return float(np.max(np.abs(acc - np.eye(len(acc)))))
 
 
 @dataclass(frozen=True)
 class KrausChannel:
     """Quantum channel in operator-sum form: rho -> sum_k A_k rho A_k^dag.
+
+    The 2^n x 2^n Kraus operators act on the 1-based `sites` of an m-qubit
+    register (the first listed site is the most significant factor) and as
+    the identity elsewhere; the defaults sites = (1..n), m = n mean the whole
+    register.  dim = 2^m is the state dimension, and superop is the cached
+    local superoperator sum_k A_k (x) conj(A_k).
 
     Construction enforces the completeness relation sum_k A_k^dag A_k = I
     within COMPLETENESS_ATOL; use check_cptp on a raw operator list to
@@ -199,23 +214,36 @@ class KrausChannel:
 
     kraus_ops: tuple[np.ndarray, ...]
     label: str = ""
+    sites: tuple[int, ...] | None = None
+    m: int | None = None
     dim: int = field(init=False)
+    superop: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         ops = tuple(np.asarray(a, dtype=complex) for a in self.kraus_ops)
         if not ops:
             raise ValueError("a channel needs at least one Kraus operator")
-        dim = ops[0].shape[0]
+        local_dim = ops[0].shape[0]
         for a in ops:
-            if a.ndim != 2 or a.shape != (dim, dim):
+            if a.ndim != 2 or a.shape != (local_dim, local_dim):
                 raise ValueError("all Kraus operators must be square with equal dims")
+        n = local_dim.bit_length() - 1
+        if n < 1 or local_dim != 1 << n:
+            raise ValueError(f"Kraus operator dimension {local_dim} is not a power of 2 >= 2")
+        sites = tuple(range(1, n + 1)) if self.sites is None else tuple(int(s) for s in self.sites)
+        m = n if self.m is None else int(self.m)
+        if len(sites) != n or len(set(sites)) != n or not all(1 <= s <= m for s in sites):
+            raise ValueError(f"sites {sites} do not fit {n}-qubit operators on {m} qubits")
         resid = completeness_residual(ops)
         if resid > COMPLETENESS_ATOL:
             raise ValueError(
                 f"Kraus operators are not complete: residual {resid:.3e} > {COMPLETENESS_ATOL:.1e}"
             )
         object.__setattr__(self, "kraus_ops", ops)
-        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "sites", sites)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "dim", 1 << m)
+        object.__setattr__(self, "superop", sum(np.kron(a, a.conj()) for a in ops))
 
 
 @dataclass(frozen=True)
@@ -224,36 +252,33 @@ class CPTPReport:
     is_unital: bool
 
 
-def _kraus_list(channel_or_ops):
-    if isinstance(channel_or_ops, KrausChannel):
-        return list(channel_or_ops.kraus_ops)
-    return [np.asarray(a, dtype=complex) for a in channel_or_ops]
-
-
 def check_cptp(channel_or_ops) -> CPTPReport:
     """Completeness residual and unitality of a channel or raw Kraus list."""
     ops = _kraus_list(channel_or_ops)
-    dim = ops[0].shape[0]
-    acc = np.zeros((dim, dim), dtype=complex)
-    for a in ops:
-        acc += a @ a.conj().T
-    unital = float(np.max(np.abs(acc - np.eye(dim)))) <= UNITALITY_ATOL
+    acc = sum(a @ a.conj().T for a in ops)
+    unital = float(np.max(np.abs(acc - np.eye(len(acc))))) <= UNITALITY_ATOL
     return CPTPReport(completeness_residual=completeness_residual(ops), is_unital=unital)
 
 
+def _apply_local(channel: KrausChannel, superop: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Contract a local superoperator into the (2,)*2m qubit-tensor view of x."""
+    x = np.asarray(x, dtype=complex)
+    if x.shape != (channel.dim, channel.dim):
+        raise ValueError(f"operator shape {x.shape} does not match channel dim {channel.dim}")
+    n, m = len(channel.sites), channel.m
+    axes = [s - 1 for s in channel.sites] + [m + s - 1 for s in channel.sites]
+    out = np.tensordot(superop.reshape((2,) * (4 * n)), x.reshape((2,) * (2 * m)), (range(2 * n, 4 * n), axes))
+    return np.moveaxis(out, range(2 * n), axes).reshape(x.shape)
+
+
 def apply_channel(channel: KrausChannel, rho: np.ndarray, *, validate: bool = True) -> np.ndarray:
-    """Apply the channel: sum_k A_k rho A_k^dag.
+    """Apply the channel: sum_k A_k rho A_k^dag, identity off its sites.
 
     With validate=True (the default) the output is checked against the
     density-matrix invariants; pass validate=False in benchmark loops or when
     mapping non-state operators through the same linear map.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (channel.dim, channel.dim):
-        raise ValueError(f"state shape {rho.shape} does not match channel dim {channel.dim}")
-    out = np.zeros_like(rho)
-    for a in channel.kraus_ops:
-        out += a @ rho @ a.conj().T
+    out = _apply_local(channel, channel.superop, rho)
     if validate:
         validate_density_matrix(out)
     return out
@@ -265,13 +290,7 @@ def dual_apply(channel: KrausChannel, x: np.ndarray) -> np.ndarray:
     Satisfies Tr[X E(rho)] = Tr[E^dag(X) rho] for every rho, and is unital
     whenever the channel is trace preserving.
     """
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (channel.dim, channel.dim):
-        raise ValueError(f"operator shape {x.shape} does not match channel dim {channel.dim}")
-    out = np.zeros_like(x)
-    for a in channel.kraus_ops:
-        out += a.conj().T @ x @ a
-    return out
+    return _apply_local(channel, channel.superop.conj().T, x)
 
 
 # Matrix (de)serialization: a JSON object {"dim": d, "entries": [[re, im], ...]}

@@ -20,7 +20,7 @@ from .network import NetworkTopology, is_connected
 from .qcore import apply_channel, purity, validate_density_matrix
 from .symmetry import (
     dicke_ket,
-    excitation_indices,
+    excitation_counts,
     global_observable,
     gossip_fixed_point,
     v_smc,
@@ -336,23 +336,20 @@ def measure_global_observable(rho: np.ndarray, m: int, rng: np.random.Generator)
     """Projective measurement of the conserved observable m*I + sum sigma_z.
 
     Samples an excitation subspace k (eigenvalue 2*(m-k)) with the Born-rule
-    probability and returns (k, renormalized projected state).
+    probability and returns (k, renormalized projected state).  Subspaces
+    with probability below 1e-12 are never sampled.
     """
     rho = np.asarray(rho, dtype=complex)
     dim = 1 << m
     if rho.shape != (dim, dim):
         raise ValueError(f"state shape {rho.shape} does not match m={m}")
     diag = np.real(np.diag(rho))
-    probs = np.empty(m + 1)
-    masks = []
-    for k in range(m + 1):
-        mask = np.zeros(dim)
-        mask[excitation_indices(m, k)] = 1.0
-        masks.append(mask)
-        probs[k] = max(float(np.dot(mask, diag)), 0.0)
+    counts = excitation_counts(m)
+    probs = np.bincount(counts, weights=diag, minlength=m + 1)
+    probs[probs < MEASUREMENT_PROBABILITY_FLOOR] = 0.0
     probs /= probs.sum()
     k = int(rng.choice(m + 1, p=probs))
-    mask = masks[k]
+    mask = (counts == k).astype(float)
     post = rho * np.outer(mask, mask) / float(np.dot(mask, diag))
     return k, post
 

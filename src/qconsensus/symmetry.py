@@ -9,15 +9,17 @@ excitation count k, never by the eigenvalue.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import permutations
 from math import comb, factorial
 
 import numpy as np
 
 from .network import permutation_index_table
+from .qcore import basis_ket
 
 __all__ = [
     "dicke_ket",
+    "excitation_counts",
     "excitation_indices",
     "excitation_basis",
     "schmidt_reconstruct",
@@ -35,12 +37,16 @@ __all__ = [
 ]
 
 
+def excitation_counts(m: int) -> np.ndarray:
+    """Number of ones in every m-bit basis index, in index order."""
+    return np.array([bin(n).count("1") for n in range(1 << m)], dtype=np.intp)
+
+
 def excitation_indices(m: int, k: int) -> list[int]:
     """Ascending basis indices of the m-qubit strings with exactly k ones."""
     if not 0 <= k <= m:
         raise ValueError(f"excitation count {k} out of range 0..{m}")
-    idx = [sum(1 << (m - 1 - i) for i in combo) for combo in combinations(range(m), k)]
-    return sorted(idx)
+    return np.flatnonzero(excitation_counts(m) == k).tolist()
 
 
 def dicke_ket(m: int, k: int) -> np.ndarray:
@@ -53,13 +59,7 @@ def dicke_ket(m: int, k: int) -> np.ndarray:
 
 def excitation_basis(m: int, k: int) -> list[np.ndarray]:
     """Computational basis vectors spanning the k-excitation subspace."""
-    dim = 1 << m
-    out = []
-    for n in excitation_indices(m, k):
-        v = np.zeros(dim, dtype=complex)
-        v[n] = 1.0
-        out.append(v)
-    return out
+    return [basis_ket(1 << m, n) for n in excitation_indices(m, k)]
 
 
 def schmidt_reconstruct(m: int, k: int, m_a: int) -> np.ndarray:
@@ -87,10 +87,6 @@ def schmidt_reconstruct(m: int, k: int, m_a: int) -> np.ndarray:
     return v / np.sqrt(comb(m, k))
 
 
-def _excitation_counts(m: int) -> np.ndarray:
-    return np.array([bin(n).count("1") for n in range(1 << m)], dtype=np.intp)
-
-
 def global_observable(m: int) -> np.ndarray:
     """Diagonal conserved observable m*I + sum_i sigma_z^(i).
 
@@ -98,7 +94,7 @@ def global_observable(m: int) -> np.ndarray:
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    return np.diag(2.0 * (m - _excitation_counts(m))).astype(complex)
+    return np.diag(2.0 * (m - excitation_counts(m))).astype(complex)
 
 
 def smc_projector(m: int) -> np.ndarray:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qconsensus.dynamics import (
     ChannelFamily,
@@ -12,8 +14,9 @@ from qconsensus.dynamics import (
     ssc_feedback_decomposition,
     ssc_pair_channel,
 )
-from qconsensus.network import NetworkTopology
+from qconsensus.network import NetworkTopology, embed_neighborhood
 from qconsensus.qcore import (
+    KrausChannel,
     apply_channel,
     bitstring_ket,
     check_cptp,
@@ -320,3 +323,54 @@ def test_channel_matches_hand_derived_superoperator(channel, oracle):
             via_channel = apply_channel(channel, unit, validate=False).reshape(-1)
             via_oracle = oracle @ unit.reshape(-1)
             assert np.max(np.abs(via_channel - via_oracle)) < 1e-12, (i, j)
+
+
+# ---------------------------------------------------------------------------
+# Local contraction against the dense full-space reference: embed each 4x4
+# Kraus operator with embed_neighborhood and take the operator sum.
+# ---------------------------------------------------------------------------
+
+_FAMILIES = st.one_of(
+    st.floats(0.05, 0.95).map(ChannelFamily.gossip),
+    st.just(ChannelFamily.ssc()),
+    st.just(ChannelFamily.smc()),
+)
+
+
+@given(data=st.data(), m=st.integers(2, 6), family=_FAMILIES, seed=st.integers(0, 2**31 - 1))
+@settings(max_examples=60, deadline=None)
+def test_local_apply_matches_dense_reference(data, m, family, seed):
+    pair = data.draw(st.lists(st.integers(1, m), min_size=2, max_size=2, unique=True))
+    ch = neighborhood_channel(family, pair, m)
+    dense = [embed_neighborhood(a, pair, m) for a in ch.kraus_ops]
+    rng = np.random.default_rng(seed)
+    d = 1 << m
+    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    forward = sum(a @ x @ a.conj().T for a in dense)
+    dual = sum(a.conj().T @ x @ a for a in dense)
+    assert np.max(np.abs(apply_channel(ch, x, validate=False) - forward)) < 1e-12
+    assert np.max(np.abs(dual_apply(ch, x) - dual)) < 1e-12
+    rho = random_density(seed, d)
+    expected = sum(a @ rho @ a.conj().T for a in dense)
+    assert np.max(np.abs(apply_channel(ch, rho) - expected)) < 1e-12
+
+
+def test_local_channel_site_order_sets_operator_factors():
+    # Listing the sites as (k, j) is the same as conjugating the operator by the swap.
+    rng = np.random.default_rng(11)
+    u, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    reversed_sites = KrausChannel((u,), sites=(4, 2), m=4)
+    swapped = KrausChannel((_SWAP @ u @ _SWAP,), sites=(2, 4), m=4)
+    rho = random_density(12, 16)
+    assert np.max(np.abs(apply_channel(reversed_sites, rho) - apply_channel(swapped, rho))) < 1e-12
+    dense = embed_neighborhood(_SWAP @ u @ _SWAP, (2, 4), 4)
+    assert np.max(np.abs(apply_channel(reversed_sites, rho) - dense @ rho @ dense.conj().T)) < 1e-12
+    x = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    assert np.max(np.abs(dual_apply(reversed_sites, x) - dense.conj().T @ x @ dense)) < 1e-12
+
+
+def test_network_channels_hold_pair_operators():
+    for family in (ChannelFamily.gossip(0.5), ChannelFamily.ssc(), ChannelFamily.smc()):
+        ch = neighborhood_channel(family, (5, 2), 6)
+        assert ch.sites == (2, 5) and ch.m == 6 and ch.dim == 64
+        assert all(a.shape == (4, 4) for a in ch.kraus_ops)

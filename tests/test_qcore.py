@@ -4,6 +4,7 @@ import pytest
 from qconsensus.dynamics import gossip_channel, smc_channel, ssc_channel
 from qconsensus.qcore import (
     I2,
+    PSD_ATOL,
     SIGMA_X,
     SIGMA_Z,
     KrausChannel,
@@ -128,6 +129,22 @@ def test_validate_density_matrix_rejects_bad_states():
         validate_density_matrix(np.diag([1.5, -0.5]))
 
 
+@pytest.mark.parametrize("min_eig, accepted", [(-2 * PSD_ATOL, False), (-0.5 * PSD_ATOL, True)])
+def test_validate_density_matrix_psd_floor(min_eig, accepted):
+    # Hermitian, unit trace, one eigenvalue just outside or inside the floor.
+    rng = np.random.default_rng(4)
+    q, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+    spectrum = np.full(8, (1.0 - min_eig) / 7)
+    spectrum[0] = min_eig
+    rho = (q * spectrum) @ q.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    if accepted:
+        validate_density_matrix(rho)
+    else:
+        with pytest.raises(ValueError, match="min eigenvalue -2.0"):
+            validate_density_matrix(rho)
+
+
 def test_apply_channel_identity():
     ch = KrausChannel((np.eye(4, dtype=complex),), label="id")
     rho = random_density(3, 4)
@@ -214,6 +231,29 @@ def test_kraus_channel_rejects_incomplete_ops():
         KrausChannel((I2 / 2,))
     with pytest.raises(ValueError):
         KrausChannel(())
+
+
+def test_kraus_channel_defaults_to_whole_register():
+    ch = KrausChannel((np.eye(4, dtype=complex),))
+    assert ch.sites == (1, 2) and ch.m == 2 and ch.dim == 4
+    placed = KrausChannel((np.eye(4, dtype=complex),), sites=(3, 1), m=5)
+    assert placed.sites == (3, 1) and placed.dim == 32
+
+
+@pytest.mark.parametrize(
+    "sites, m",
+    [((2, 2), 3), ((0, 1), 3), ((1, 4), 3), ((1,), 3), ((1, 2, 3), 3), ((1, 3), None)],
+    ids=["duplicate", "below-range", "above-range", "too-few", "too-many", "beyond-default-m"],
+)
+def test_kraus_channel_rejects_sites_that_do_not_fit(sites, m):
+    with pytest.raises(ValueError, match="sites"):
+        KrausChannel((np.eye(4, dtype=complex),), sites=sites, m=m)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 6])
+def test_kraus_channel_rejects_non_power_of_two_dims(dim):
+    with pytest.raises(ValueError, match="power of 2"):
+        KrausChannel((np.eye(dim, dtype=complex),))
 
 
 def test_channels_preserve_density_invariants():

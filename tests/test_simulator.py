@@ -223,6 +223,24 @@ def test_measure_global_observable_statistics():
     assert np.max(np.abs(counts / n - [0.25, 0.5, 0.25])) < 0.03
 
 
+class _PickLastPossible:
+    """Generator stand-in whose choice is the last outcome of nonzero probability."""
+
+    def choice(self, n, p):
+        return int(np.flatnonzero(p)[-1])
+
+
+def test_measure_global_observable_skips_negligible_sectors():
+    # The k=2 sector has weight 1e-15, below the probability floor: it must not
+    # be sampled, and the post-state must not be divided by that weight.
+    rho = np.diag([1.0 - 1e-15, 0.0, 0.0, 1e-15]).astype(complex)
+    k, post = measure_global_observable(rho, 2, _PickLastPossible())
+    assert k == 0
+    assert np.max(np.abs(post - ket_to_density(bitstring_ket("00")))) < 1e-12
+    rng = np.random.default_rng(2)
+    assert all(measure_global_observable(rho, 2, rng)[0] == 0 for _ in range(200))
+
+
 def test_apply_flip():
     rho = ket_to_density(bitstring_ket("00"))
     flipped = apply_flip(rho, 2, 2)
