@@ -12,6 +12,13 @@ state:
 * validate_s: one `validate_density_matrix` of the output;
 * purity_s: one `purity` of the output.
 
+Each per-m row also holds two family-independent times on the seeded state:
+
+* record_s: the Dicke populations and purity that every trajectory step
+  records (`symmetry.dicke_populations` plus `purity`; on a checkout without
+  `dicke_populations`, the m+1 `dicke_ket` quadratic forms it replaces);
+* fixed_point_s: one `symmetry.gossip_fixed_point`, for m <= 8 only.
+
 Each is the median of several repeats.  With `--run-m M` it also runs
 `simulator.run` for one cyclic sweep of the ssc family on an M-site path graph
 with validation on, from a rank-16 random state (cheap to draw at any size),
@@ -59,11 +66,23 @@ def low_rank_density(seed: int, dim: int, rank: int = 16) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
+def record_fn(m: int):
+    """The per-step Dicke-population and purity record of this checkout."""
+    from qconsensus import symmetry
+    from qconsensus.qcore import purity
+
+    if hasattr(symmetry, "dicke_populations"):
+        return lambda rho: (symmetry.dicke_populations(rho, m), purity(rho))
+    dickes = [symmetry.dicke_ket(m, k) for k in range(m + 1)]
+    return lambda rho: ([float(np.real(d.conj() @ rho @ d)) for d in dickes], purity(rho))
+
+
 def layer_times(m: int) -> dict:
-    """Median build, apply, validate and purity time per family at size m."""
+    """Median per-family layer times at size m, plus record and fixed-point times."""
     from qconsensus.dynamics import ChannelFamily, neighborhood_channel
     from qconsensus.qcore import apply_channel, purity, validate_density_matrix
     from qconsensus.simulator import random_density
+    from qconsensus.symmetry import gossip_fixed_point
 
     pair = (m // 2, m // 2 + 1)
     rho = random_density(m, 1 << m) if m <= 10 else low_rank_density(m, 1 << m)
@@ -81,6 +100,10 @@ def layer_times(m: int) -> dict:
             "repeats": repeats,
         }
         del channel, after
+    record = record_fn(m)
+    out["record_s"] = median_time(lambda: record(rho), repeats)
+    if m <= 8:
+        out["fixed_point_s"] = median_time(lambda: gossip_fixed_point(rho, m), repeats)
     return out
 
 

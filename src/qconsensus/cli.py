@@ -35,7 +35,7 @@ from .simulator import (
     run,
     write_trajectory_csv,
 )
-from .symmetry import consensus_report, dicke_ket, global_observable, v_smc, v_total
+from .symmetry import consensus_report, dicke_ket, dicke_populations, global_observable, v_smc, v_total
 
 CONFIG_SCHEMA = """\
 # qconsensus experiment configuration (YAML)
@@ -157,7 +157,7 @@ def _build_family(cfg: dict) -> ChannelFamily:
         if alpha is not None:
             raise ConfigError(f"'family.alpha' is only valid for gossip")
         return ChannelFamily(kind)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"'family': {exc}") from exc
 
 
@@ -267,9 +267,10 @@ def cmd_compare(args) -> int:
     schedule = _build_schedule(cfg, seed)
     steps = _steps(cfg)
     rho0 = _build_initial_state(cfg, topology.m, seed)
-    alpha = _section(cfg, "family", required=False).get("alpha", 0.5)
+    # compare runs all three families; only 'family.alpha' is read, for gossip.
+    gossip_section = {**_section(cfg, "family", required=False), "kind": "gossip"}
     families = [
-        ChannelFamily.gossip(float(alpha)),
+        _build_family({"family": gossip_section}),
         ChannelFamily.ssc(),
         ChannelFamily.smc(),
     ]
@@ -304,7 +305,9 @@ def cmd_prepare(args) -> int:
     target_k = _int_value(section, "target_k", "prepare")
     if not 0 <= target_k <= topology.m:
         raise ConfigError(f"'prepare.target_k' must lie in 0..{topology.m}, got {target_k}")
-    use_s = bool(section.get("use_s_measurement", False))
+    use_s = section.get("use_s_measurement", False)
+    if not isinstance(use_s, bool):
+        raise ConfigError(f"'prepare.use_s_measurement' must be true or false, got {use_s!r}")
     steps = _int_value(section, "steps", "prepare", required=False, default=300)
     if steps < 1:
         raise ConfigError(f"'prepare.steps' must be >= 1, got {steps}")
@@ -388,11 +391,8 @@ def _verify_checks(family: ChannelFamily, m: int, seed: int):
         conserve = max(conserve, abs(expectation(out, s) - expectation(rho, s)))
         if family.kind == "gossip":
             purity_violation = max(purity_violation, purity(out) - purity(rho))
-            for k in range(m + 1):
-                d = dicke_ket(m, k)
-                pop_drift = max(pop_drift, abs(
-                    float(np.real(d.conj() @ out @ d)) - float(np.real(d.conj() @ rho @ d))
-                ))
+            drift = np.abs(dicke_populations(out, m) - dicke_populations(rho, m))
+            pop_drift = max(pop_drift, float(np.max(drift)))
         elif family.kind == "ssc":
             monotone_violation = max(monotone_violation, v_total(out, m) - v_total(rho, m))
         else:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .network import NetworkTopology
 from .qcore import KrausChannel
-from .symmetry import smc_projector
+from .symmetry import excitation_counts, smc_projector
 
 __all__ = [
     "ChannelFamily",
@@ -174,9 +174,9 @@ def smc_neighborhood_channel(n_sites: int) -> KrausChannel:
         raise ValueError(f"need at least 2 sites in a neighborhood, got {n_sites}")
     dim = 1 << n_sites
     ops = [smc_projector(n_sites)]
+    counts = excitation_counts(n_sites)
     for k in range(1, dim - 1):
-        zeros = n_sites - bin(k).count("1")
-        p0 = zeros / n_sites
+        p0 = (n_sites - counts[k]) / n_sites
         proj_k = np.zeros((dim, dim), dtype=complex)
         proj_k[k, k] = 1.0
         for weight, target in ((p0, 0), (1.0 - p0, dim - 1)):

@@ -13,7 +13,7 @@ __all__ = [
     "embed_local",
     "embed_neighborhood",
     "permutation_unitary",
-    "permutation_index_table",
+    "permute_sites",
 ]
 
 PROBABILITY_SUM_ATOL = 1e-12
@@ -81,43 +81,40 @@ def embed_local(sigma: np.ndarray, site: int, m: int) -> np.ndarray:
     return np.kron(np.kron(left, sigma), right)
 
 
-def _validated_permutation(pi, m: int) -> tuple[int, ...]:
-    images = tuple(int(p) for p in pi)
+def _site_axes(pi, m: int) -> list[int]:
+    """0-based qubit-tensor axes of the validated site permutation pi."""
+    images = [int(p) for p in pi]
     if len(images) != m or sorted(images) != list(range(1, m + 1)):
         raise ValueError(f"{pi!r} is not a permutation of 1..{m}")
-    return images
+    return [p - 1 for p in images]
 
 
-def permutation_index_table(pi, m: int) -> np.ndarray:
-    """Basis-index map of the subsystem permutation pi.
+def permute_sites(x: np.ndarray, pi, m: int) -> np.ndarray:
+    """U_pi x U_pi^dag for a 2^m x 2^m operator x (U_pi as in permutation_unitary).
 
-    Returns the array t with U_pi[t[n], n] = 1, where U_pi is the unitary
-    with U_pi (X_1 (x) ... (x) X_m) U_pi^dag = X_pi(1) (x) ... (x) X_pi(m).
-    On basis strings, U_pi |b_1 ... b_m> = |b_pi(1) ... b_pi(m)>.
+    One transpose of the (2,)*2m qubit-tensor view: site i of the output, on
+    the row side and on the column side, is site pi(i) of the input.
     """
-    images = _validated_permutation(pi, m)
+    axes = _site_axes(pi, m)
+    x = np.asarray(x, dtype=complex)
     dim = 1 << m
-    table = np.empty(dim, dtype=np.intp)
-    for n in range(dim):
-        new = 0
-        for i in range(m):
-            bit = (n >> (m - images[i])) & 1
-            new = (new << 1) | bit
-        table[n] = new
-    return table
+    if x.shape != (dim, dim):
+        raise ValueError(f"operator shape {x.shape} does not match m={m}")
+    return x.reshape((2,) * (2 * m)).transpose(axes + [m + a for a in axes]).reshape(dim, dim)
 
 
 def permutation_unitary(pi, m: int) -> np.ndarray:
     """Unitary representation of a subsystem permutation.
 
     Defined by U_pi (X_1 (x) ... (x) X_m) U_pi^dag = X_pi(1) (x) ... (x) X_pi(m)
-    for all single-site operator tuples.
+    for all single-site operator tuples; on basis strings,
+    U_pi |b_1 ... b_m> = |b_pi(1) ... b_pi(m)>.  It is the identity with its
+    row axes permuted.
     """
-    table = permutation_index_table(pi, m)
-    dim = table.shape[0]
-    u = np.zeros((dim, dim), dtype=complex)
-    u[table, np.arange(dim)] = 1.0
-    return u
+    axes = _site_axes(pi, m)
+    dim = 1 << m
+    eye = np.eye(dim, dtype=complex).reshape((2,) * (2 * m))
+    return eye.transpose(axes + list(range(m, 2 * m))).reshape(dim, dim)
 
 
 def embed_neighborhood(op: np.ndarray, pair, m: int) -> np.ndarray:
@@ -133,16 +130,6 @@ def embed_neighborhood(op: np.ndarray, pair, m: int) -> np.ndarray:
     j, k = min(j, k), max(j, k)
     if j == k or j < 1 or k > m:
         raise ValueError(f"invalid pair {pair} for m={m}")
-    images = [0] * m
-    images[j - 1] = 1
-    images[k - 1] = 2
-    fill = 3
-    for site in range(1, m + 1):
-        if site not in (j, k):
-            images[site - 1] = fill
-            fill += 1
-    wide = np.kron(op, np.eye(1 << (m - 2), dtype=complex))
-    table = permutation_index_table(tuple(images), m)
-    out = np.empty_like(wide)
-    out[np.ix_(table, table)] = wide
-    return out
+    rest = iter(range(3, m + 1))
+    images = [1 if s == j else 2 if s == k else next(rest) for s in range(1, m + 1)]
+    return permute_sites(np.kron(op, np.eye(1 << (m - 2), dtype=complex)), images, m)

@@ -173,7 +173,7 @@ def expectation(rho: np.ndarray, x: np.ndarray, *, hermiticity_atol: float = HER
     resid = hermiticity_residual(x)
     if resid > hermiticity_atol:
         raise ValueError(f"observable is not Hermitian: residual {resid:.3e}")
-    val = complex(np.trace(np.asarray(rho, dtype=complex) @ x))
+    val = complex(np.einsum("ij,ji->", np.asarray(rho, dtype=complex), x))
     if abs(val.imag) > 1e-9:
         raise ValueError(f"expectation has imaginary part {val.imag:.3e}")
     return float(val.real)

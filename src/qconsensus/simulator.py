@@ -19,10 +19,10 @@ from .dynamics import ChannelFamily, build_channels
 from .network import NetworkTopology, is_connected
 from .qcore import apply_channel, purity, validate_density_matrix
 from .symmetry import (
-    dicke_ket,
+    dicke_populations,
     excitation_counts,
-    global_observable,
     gossip_fixed_point,
+    site_bits,
     v_smc,
     v_total,
 )
@@ -160,9 +160,9 @@ def _cyclic_order(schedule: Schedule, n_neighborhoods: int) -> tuple[int, ...]:
     return order
 
 
-def _record(step: int, rho: np.ndarray, m: int, s_diag: np.ndarray, dickes: list[np.ndarray]) -> TrajectoryRecord:
+def _record(step: int, rho: np.ndarray, m: int, s_diag: np.ndarray) -> TrajectoryRecord:
     diag = np.real(np.diag(rho))
-    pops = tuple(float(np.real(d.conj() @ rho @ d)) for d in dickes)
+    pops = tuple(float(p) for p in dicke_populations(rho, m))
     smc_pop = float(rho[0, 0].real + rho[-1, -1].real)
     return TrajectoryRecord(
         step=step,
@@ -190,7 +190,7 @@ def lyapunov_gap(family: ChannelFamily, rho: np.ndarray, m: int, *, gossip_targe
     if gossip_target is None:
         raise ValueError("gossip convergence needs the permutation-average target state")
     delta = np.asarray(rho, dtype=complex) - gossip_target
-    return float(np.real(np.trace(delta @ delta.conj().T)))
+    return float(np.vdot(delta, delta).real)
 
 
 def run(
@@ -246,14 +246,13 @@ def run(
     if early_stop and family.kind == "gossip":
         gossip_target = gossip_fixed_point(rho, m)
 
-    s_diag = np.real(np.diag(global_observable(m)))
-    dickes = [dicke_ket(m, k) for k in range(m + 1)]
+    s_diag = 2.0 * (m - excitation_counts(m))
     records: list[TrajectoryRecord] = []
     quiet = 0
     for t in range(1, steps + 1):
         idx = order[(t - 1) % len(order)] if picks is None else int(picks[t - 1])
         rho = apply_channel(channels[idx], rho, validate=validate)
-        records.append(_record(t, rho, m, s_diag, dickes))
+        records.append(_record(t, rho, m, s_diag))
         if early_stop:
             gap = lyapunov_gap(family, rho, m, gossip_target=gossip_target)
             quiet = quiet + 1 if gap < early_stop_threshold else 0
@@ -276,7 +275,8 @@ def convergence_probability(
     Each trial draws its neighborhood sequence i.i.d. from the topology's
     selection distribution (uniform if unset) using a stream derived from
     (seed, trial index), runs for `horizon` steps, and tests whether the
-    family's Lyapunov gap at the horizon is below gamma.
+    family's Lyapunov gap at the horizon is below gamma.  Raises ValueError
+    on a disconnected interaction graph, where convergence is not guaranteed.
     """
     if gamma <= 0:
         raise ValueError(f"need gamma > 0, got {gamma}")
@@ -284,6 +284,8 @@ def convergence_probability(
         raise ValueError(f"need trials >= 1, got {trials}")
     if horizon < 0:
         raise ValueError(f"need horizon >= 0, got {horizon}")
+    if not is_connected(topology):
+        raise ValueError("convergence estimation requires a connected interaction graph")
     m = topology.m
     rho0 = validate_density_matrix(rho0)
     gossip_target = gossip_fixed_point(rho0, m) if family.kind == "gossip" else None
@@ -302,14 +304,6 @@ def convergence_probability(
     return hits / trials
 
 
-def _site_masks(site: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    if not 1 <= site <= m:
-        raise ValueError(f"site {site} out of range 1..{m}")
-    n = np.arange(1 << m)
-    bit = (n >> (m - site)) & 1
-    return (bit == 0).astype(float), (bit == 1).astype(float)
-
-
 def measure_local_z(rho: np.ndarray, site: int, m: int, rng: np.random.Generator) -> tuple[int, np.ndarray]:
     """Projective sigma_z measurement of one site.
 
@@ -317,8 +311,10 @@ def measure_local_z(rho: np.ndarray, site: int, m: int, rng: np.random.Generator
     sampled by the Born rule.  Outcomes with probability below 1e-12 are
     never sampled.
     """
+    if not 1 <= site <= m:
+        raise ValueError(f"site {site} out of range 1..{m}")
     rho = np.asarray(rho, dtype=complex)
-    mask0, mask1 = _site_masks(site, m)
+    mask0 = 1.0 - site_bits(m)[:, site - 1]
     p_plus = float(np.clip(np.dot(mask0, np.real(np.diag(rho))), 0.0, 1.0))
     if p_plus < MEASUREMENT_PROBABILITY_FLOOR:
         outcome = -1
@@ -326,7 +322,7 @@ def measure_local_z(rho: np.ndarray, site: int, m: int, rng: np.random.Generator
         outcome = +1
     else:
         outcome = +1 if rng.random() < p_plus else -1
-    mask = mask0 if outcome == +1 else mask1
+    mask = mask0 if outcome == +1 else 1.0 - mask0
     prob = p_plus if outcome == +1 else 1.0 - p_plus
     post = rho * np.outer(mask, mask) / prob
     return outcome, post
@@ -439,8 +435,7 @@ def prepare_dicke(
             log.append(MeasurementEvent(kind="flip", site=site, value=0))
 
     result = run(state, topology, ChannelFamily.ssc(), Schedule.cyclic(), steps)
-    target = dicke_ket(m, target_k)
-    fidelity = float(np.real(target.conj() @ result.final_state @ target))
+    fidelity = float(dicke_populations(result.final_state, m)[target_k])
     return PreparationResult(
         final_state=result.final_state,
         records=result.records,

@@ -9,16 +9,17 @@ excitation count k, never by the eigenvalue.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
-from math import comb, factorial
+from functools import cache
+from math import comb
 
 import numpy as np
 
-from .network import permutation_index_table
+from .network import permute_sites
 from .qcore import basis_ket
 
 __all__ = [
     "dicke_ket",
+    "site_bits",
     "excitation_counts",
     "excitation_indices",
     "excitation_basis",
@@ -28,6 +29,7 @@ __all__ = [
     "is_ssc",
     "is_smc",
     "v_dicke",
+    "dicke_populations",
     "v_total",
     "v_smc",
     "gossip_fixed_point",
@@ -37,9 +39,17 @@ __all__ = [
 ]
 
 
+@cache
+def site_bits(m: int) -> np.ndarray:
+    """Read-only (2^m, m) table: entry [n, i] is the bit of site i + 1 in index n."""
+    bits = (np.arange(1 << m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
+    bits.setflags(write=False)
+    return bits
+
+
 def excitation_counts(m: int) -> np.ndarray:
     """Number of ones in every m-bit basis index, in index order."""
-    return np.array([bin(n).count("1") for n in range(1 << m)], dtype=np.intp)
+    return site_bits(m).sum(1)
 
 
 def excitation_indices(m: int, k: int) -> list[int]:
@@ -49,12 +59,20 @@ def excitation_indices(m: int, k: int) -> list[int]:
     return np.flatnonzero(excitation_counts(m) == k).tolist()
 
 
+@cache
+def _dicke_matrix(m: int) -> np.ndarray:
+    """Read-only (2^m, m+1) matrix whose column k is the Dicke ket (m, k)."""
+    d = (excitation_counts(m)[:, None] == np.arange(m + 1)).astype(float)
+    d /= np.sqrt(d.sum(0))
+    d.setflags(write=False)
+    return d
+
+
 def dicke_ket(m: int, k: int) -> np.ndarray:
     """Equal superposition of all C(m, k) basis strings with k excitations."""
-    idx = excitation_indices(m, k)
-    v = np.zeros(1 << m, dtype=complex)
-    v[idx] = 1.0 / np.sqrt(len(idx))
-    return v
+    if not 0 <= k <= m:
+        raise ValueError(f"excitation count {k} out of range 0..{m}")
+    return _dicke_matrix(m)[:, k].astype(complex)
 
 
 def excitation_basis(m: int, k: int) -> list[np.ndarray]:
@@ -121,9 +139,7 @@ def is_ssc(rho: np.ndarray, m: int, tol: float = 1e-9) -> tuple[bool, float]:
     for i in range(1, m):
         images = list(range(1, m + 1))
         images[i - 1], images[i] = images[i], images[i - 1]
-        t = permutation_index_table(tuple(images), m)
-        conjugated = rho[np.ix_(t, t)]
-        residual = max(residual, float(np.max(np.abs(conjugated - rho))))
+        residual = max(residual, float(np.max(np.abs(permute_sites(rho, images, m) - rho))))
     return residual <= tol, residual
 
 
@@ -136,20 +152,15 @@ def is_smc(rho: np.ndarray, m: int, tol: float = 1e-9) -> tuple[bool, float, flo
     outcomes j in {0,1} and site pairs.  The verdict is population >= 1-tol.
     """
     rho = np.asarray(rho, dtype=complex)
-    dim = 1 << m
     diag = np.real(np.diag(rho))
-    population = float(rho[0, 0].real + rho[dim - 1, dim - 1].real)
-    bits = np.array([[(n >> (m - 1 - i)) & 1 for i in range(m)] for n in range(dim)])
+    population = float(rho[0, 0].real + rho[-1, -1].real)
+    off_diagonal = ~np.eye(m, dtype=bool)
     residual = 0.0
     for j in (0, 1):
-        masks = [(bits[:, i] == j).astype(float) for i in range(m)]
-        singles = [float(np.dot(mask, diag)) for mask in masks]
-        for a in range(m):
-            for b in range(m):
-                if a == b:
-                    continue
-                joint = float(np.dot(masks[a] * masks[b], diag))
-                residual = max(residual, abs(joint - singles[b]))
+        masks = (site_bits(m) == j).astype(float)
+        singles = diag @ masks
+        joint = (masks * diag[:, None]).T @ masks
+        residual = max(residual, float(np.max(np.abs(joint - singles)[off_diagonal], initial=0.0)))
     return population >= 1.0 - tol, population, residual
 
 
@@ -159,37 +170,45 @@ def v_dicke(rho: np.ndarray, m: int, k: int) -> float:
     return 1.0 - float(np.real(d.conj() @ np.asarray(rho, dtype=complex) @ d))
 
 
+def dicke_populations(rho: np.ndarray, m: int) -> np.ndarray:
+    """<(m,k)| rho |(m,k)>, k = 0..m: column sums of D * (Re(rho) @ D), D real."""
+    d = _dicke_matrix(m)
+    return np.sum(d * (np.real(rho) @ d), axis=0)
+
+
 def v_total(rho: np.ndarray, m: int) -> float:
     """Sum of v_dicke over k = 0..m; equals (m+1) minus the total Dicke weight.
 
     The minimum value m is attained exactly when rho is supported on the span
     of the Dicke kets.
     """
-    return sum(v_dicke(rho, m, k) for k in range(m + 1))
+    return float(m + 1 - dicke_populations(rho, m).sum())
 
 
 def v_smc(rho: np.ndarray, m: int) -> float:
     """Lyapunov value 1 - Tr(P_SMC rho)."""
     rho = np.asarray(rho, dtype=complex)
-    dim = 1 << m
-    return 1.0 - float(rho[0, 0].real + rho[dim - 1, dim - 1].real)
+    return 1.0 - float(rho[0, 0].real + rho[-1, -1].real)
 
 
 def gossip_fixed_point(rho0: np.ndarray, m: int) -> np.ndarray:
     """Exact permutation-group average (1/m!) sum_pi U_pi rho U_pi^dag.
 
-    Exhaustive over all m! permutations; guarded to m <= 8.
+    The cosets (i n) S_{n-1}, i = 1..n, partition S_n, so for n = 2..m the
+    running average is replaced by its mean over the site swaps (i n), with
+    i = n the identity: m(m+1)/2 - 1 swaps on the qubit-tensor view in all.
+    Guarded to m <= 8.
     """
     if m > 8:
         raise ValueError(f"exhaustive permutation averaging is limited to m <= 8, got {m}")
     rho0 = np.asarray(rho0, dtype=complex)
-    acc = np.zeros_like(rho0)
-    scratch = np.empty_like(rho0)
-    for pi in permutations(range(1, m + 1)):
-        t = permutation_index_table(pi, m)
-        scratch[np.ix_(t, t)] = rho0
-        acc += scratch
-    return acc / factorial(m)
+    t = rho0.reshape((2,) * (2 * m)).copy()
+    for n in range(2, m + 1):
+        acc = t.copy()
+        for i in range(1, n):
+            acc += t.swapaxes(i - 1, n - 1).swapaxes(m + i - 1, m + n - 1)
+        t = acc / n
+    return t.reshape(rho0.shape)
 
 
 def per_site_expectations(rho: np.ndarray, m: int) -> np.ndarray:
@@ -198,11 +217,8 @@ def per_site_expectations(rho: np.ndarray, m: int) -> np.ndarray:
     At consensus these agree across sites and, rescaled by m, recover the
     expectation of the global observable from any single site.
     """
-    rho = np.asarray(rho, dtype=complex)
-    diag = np.real(np.diag(rho))
-    dim = 1 << m
-    bits = np.array([[(n >> (m - 1 - i)) & 1 for i in range(m)] for n in range(dim)])
-    return np.array([2.0 * float(np.dot((bits[:, i] == 0).astype(float), diag)) for i in range(m)])
+    diag = np.real(np.diag(np.asarray(rho, dtype=complex)))
+    return 2.0 * (diag @ (1 - site_bits(m)))
 
 
 @dataclass(frozen=True)
@@ -219,7 +235,7 @@ def consensus_report(rho: np.ndarray, m: int) -> ConsensusReport:
     rho = np.asarray(rho, dtype=complex)
     _, ssc_residual = is_ssc(rho, m)
     _, population, pairwise = is_smc(rho, m)
-    s_diag = np.real(np.diag(global_observable(m)))
+    s_diag = 2.0 * (m - excitation_counts(m))
     s_exp = float(np.dot(s_diag, np.real(np.diag(rho))))
     return ConsensusReport(
         ssc_residual=ssc_residual,

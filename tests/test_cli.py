@@ -206,3 +206,22 @@ def test_numeric_violation_exit_code(tmp_path):
         f"initial_state: {{kind: file, path: '{(tmp_path / 'bad.json').as_posix()}'}}\n"
     )
     assert main(["run", "--config", str(cfg_path)]) == 2
+
+
+@pytest.mark.parametrize("alpha", ["1.5", "abc"])
+def test_compare_rejects_bad_alpha_as_config_error(tmp_path, capsys, alpha):
+    cfg = write_config(tmp_path, kind=f"gossip\n  alpha: {alpha}", steps=5)
+    assert main(["compare", "--config", cfg, "--output-dir", str(tmp_path)]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ['"no"', '"false"', "1"])
+def test_prepare_rejects_non_boolean_s_measurement(tmp_path, capsys, flag):
+    cfg_path = tmp_path / "prep.yaml"
+    cfg_path.write_text(
+        "topology:\n  m: 3\n  edges: [[1, 2], [2, 3]]\n"
+        "initial_state: {kind: random, seed: 3}\n"
+        f"prepare: {{target_k: 1, use_s_measurement: {flag}, steps: 5}}\n"
+    )
+    assert main(["prepare", "--config", str(cfg_path)]) == 1
+    assert "use_s_measurement" in capsys.readouterr().err

@@ -9,6 +9,7 @@ from qconsensus.network import (
     embed_neighborhood,
     is_connected,
     permutation_unitary,
+    permute_sites,
 )
 from qconsensus.qcore import SIGMA_X, SIGMA_Z, bitstring_ket
 
@@ -148,3 +149,21 @@ def test_permutation_unitary_defining_property(seed, m):
     for i in range(1, m):
         permuted = np.kron(permuted, factors[pi[i] - 1])
     assert np.max(np.abs(u @ prod @ u.conj().T - permuted)) < 1e-12
+
+
+@given(seed=st.integers(0, 2**31 - 1), m=st.integers(1, 6))
+@settings(max_examples=30, deadline=None)
+def test_permute_sites_matches_unitary_conjugation(seed, m):
+    rng = np.random.default_rng(seed)
+    pi = tuple(int(p) for p in rng.permutation(m) + 1)
+    dim = 1 << m
+    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    u = permutation_unitary(pi, m)
+    assert np.max(np.abs(permute_sites(x, pi, m) - u @ x @ u.conj().T)) < 1e-14
+
+
+def test_permute_sites_rejects_bad_input():
+    with pytest.raises(ValueError, match="permutation"):
+        permute_sites(np.eye(8), (1, 1, 3), 3)
+    with pytest.raises(ValueError, match="shape"):
+        permute_sites(np.eye(4), (2, 1, 3), 3)

@@ -297,3 +297,9 @@ def test_trajectory_csv_shape(tmp_path):
     path = tmp_path / "traj.csv"
     write_trajectory_csv(result.records, 3, path)
     assert path.read_text().splitlines() == lines
+
+
+def test_convergence_probability_rejects_disconnected_topology():
+    top = NetworkTopology(m=4, neighborhoods=((1, 2), (3, 4)))
+    with pytest.raises(ValueError, match="connected"):
+        convergence_probability(random_density(2, 16), top, ChannelFamily.ssc(), 0.01, 5, 3, 1)

@@ -1,12 +1,21 @@
+from itertools import permutations
+from math import factorial
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qconsensus.network import permutation_unitary
 from qconsensus.qcore import bitstring_ket, ket_to_density, purity
 from qconsensus.simulator import random_density
 from qconsensus.symmetry import (
+    _dicke_matrix,
     consensus_report,
     dicke_ket,
+    dicke_populations,
     excitation_basis,
+    excitation_counts,
     excitation_indices,
     global_observable,
     gossip_fixed_point,
@@ -14,6 +23,7 @@ from qconsensus.symmetry import (
     is_ssc,
     per_site_expectations,
     schmidt_reconstruct,
+    site_bits,
     smc_projector,
     v_dicke,
     v_smc,
@@ -236,3 +246,67 @@ def test_consensus_report_fields():
     assert abs(report.smc_population) < 1e-12
     assert abs(report.s_expectation - 4.0) < 1e-12
     assert np.isfinite(report.smc_pairwise_residual)
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_gossip_fixed_point_equals_exhaustive_average(m):
+    rho = random_density(70 + m, 1 << m)
+    expected = np.zeros_like(rho)
+    for pi in permutations(range(1, m + 1)):
+        u = permutation_unitary(pi, m)
+        expected += u @ rho @ u.conj().T
+    expected /= factorial(m)
+    assert np.max(np.abs(gossip_fixed_point(rho, m) - expected)) < 1e-13
+
+
+def test_gossip_fixed_point_returns_a_new_array():
+    rho = random_density(3, 2)
+    out = gossip_fixed_point(rho, 1)
+    assert np.array_equal(out, rho)
+    out[0, 0] = 7.0
+    assert rho[0, 0] != 7.0
+
+
+@given(seed=st.integers(0, 2**31 - 1), m=st.integers(1, 8))
+@settings(max_examples=25, deadline=None)
+def test_dicke_populations_match_dicke_ket_quadratic_forms(seed, m):
+    rho = random_density(seed, 1 << m)
+    expected = [np.real(dicke_ket(m, k).conj() @ rho @ dicke_ket(m, k)) for k in range(m + 1)]
+    assert np.max(np.abs(dicke_populations(rho, m) - expected)) < 1e-14
+    assert abs(v_total(rho, m) - sum(v_dicke(rho, m, k) for k in range(m + 1))) < 1e-13
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_excitation_counts_match_popcount(m):
+    assert excitation_counts(m).tolist() == [bin(n).count("1") for n in range(1 << m)]
+
+
+def test_site_bits_msb_first():
+    assert site_bits(3)[0b011].tolist() == [0, 1, 1]
+    assert site_bits(3)[0b100].tolist() == [1, 0, 0]
+
+
+def test_cached_tables_are_read_only():
+    for table in (site_bits(4), _dicke_matrix(4)):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+
+
+def test_is_smc_single_site_has_no_pairwise_residual():
+    ok, population, residual = is_smc(np.diag([0.25, 0.75]).astype(complex), 1)
+    assert ok and abs(population - 1.0) < 1e-15 and residual == 0.0
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_site_bit_diagnostics_match_loop_reference(m):
+    rho = random_density(90 + m, 1 << m)
+    diag = np.real(np.diag(rho))
+    bits = [[(n >> (m - 1 - i)) & 1 for i in range(m)] for n in range(1 << m)]
+    p = {(j, i): sum(diag[n] for n in range(1 << m) if bits[n][i] == j) for j in (0, 1) for i in range(m)}
+    residual = max(
+        abs(sum(diag[n] for n in range(1 << m) if bits[n][a] == j and bits[n][b] == j) - p[j, b])
+        for j in (0, 1) for a in range(m) for b in range(m) if a != b
+    )
+    assert abs(is_smc(rho, m)[2] - residual) < 1e-14
+    assert np.max(np.abs(per_site_expectations(rho, m) - [2.0 * p[0, i] for i in range(m)])) < 1e-14
