@@ -10,7 +10,10 @@ state:
 * build_s: constructing the channel (`neighborhood_channel`);
 * apply_s: one `apply_channel(..., validate=False)`;
 * validate_s: one `validate_density_matrix` of the output;
-* purity_s: one `purity` of the output.
+* purity_s: one `purity` of the output;
+* convergence_s: one end-to-end `simulator.convergence_probability` on the
+  m-site path graph from the seeded state (CONVERGENCE_TRIALS trials of
+  CONVERGENCE_HORIZON steps, gamma CONVERGENCE_GAMMA), for m <= 8 only.
 
 Each per-m row also holds two family-independent times on the seeded state:
 
@@ -44,6 +47,7 @@ import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 FAMILIES = ("gossip", "ssc", "smc")
+CONVERGENCE_TRIALS, CONVERGENCE_HORIZON, CONVERGENCE_GAMMA = 20, 100, 0.05
 
 
 def repeats_for(m: int) -> int:
@@ -80,8 +84,9 @@ def record_fn(m: int):
 def layer_times(m: int) -> dict:
     """Median per-family layer times at size m, plus record and fixed-point times."""
     from qconsensus.dynamics import ChannelFamily, neighborhood_channel
+    from qconsensus.network import NetworkTopology
     from qconsensus.qcore import apply_channel, purity, validate_density_matrix
-    from qconsensus.simulator import random_density
+    from qconsensus.simulator import convergence_probability, random_density
     from qconsensus.symmetry import gossip_fixed_point
 
     pair = (m // 2, m // 2 + 1)
@@ -99,6 +104,10 @@ def layer_times(m: int) -> dict:
             "purity_s": median_time(lambda: purity(after), repeats),
             "repeats": repeats,
         }
+        if m <= 8:
+            path = NetworkTopology(m=m, neighborhoods=tuple((i, i + 1) for i in range(1, m)))
+            args = (rho, path, family, CONVERGENCE_GAMMA, CONVERGENCE_HORIZON, CONVERGENCE_TRIALS, 0)
+            out[kind]["convergence_s"] = median_time(lambda: convergence_probability(*args), min(repeats, 5))
         del channel, after
     record = record_fn(m)
     out["record_s"] = median_time(lambda: record(rho), repeats)

@@ -344,9 +344,16 @@ def cmd_convergence(args) -> int:
         raise ConfigError(f"'convergence.trials' must be >= 1, got {trials}")
     rho0 = _build_initial_state(cfg, topology.m, seed)
     estimate = convergence_probability(rho0, topology, family, float(gamma), horizon, trials, seed)
+    low, high = _wilson_interval(estimate, trials)
     print(f"P[lyapunov gap < {gamma:g} at horizon {horizon}] ~= {estimate:.4f} "
-          f"({trials} trials, family {family.kind})")
+          f"(95% Wilson interval [{low:.4f}, {high:.4f}]; {trials} trials, family {family.kind})")
     return 0
+
+
+def _wilson_interval(p: float, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
+    """Two-sided 95% Wilson score interval for a proportion p observed in n trials."""
+    center, half = p + z * z / (2 * n), z * np.sqrt(p * (1 - p) / n + z * z / (4 * n * n))
+    return max(0.0, (center - half) / (1 + z * z / n)), min(1.0, (center + half) / (1 + z * z / n))
 
 
 def _verify_checks(family: ChannelFamily, m: int, seed: int):
@@ -355,6 +362,7 @@ def _verify_checks(family: ChannelFamily, m: int, seed: int):
     channels = build_channels(family, topology)
     rng = np.random.default_rng(seed)
     s = global_observable(m)
+    lyapunov = v_total if family.kind == "ssc" else v_smc
 
     resid = max(check_cptp(ch).completeness_residual for ch in channels)
     yield (f"cptp completeness ({len(channels)} channels)", resid <= 1e-10, f"max residual {resid:.2e}")
@@ -393,18 +401,15 @@ def _verify_checks(family: ChannelFamily, m: int, seed: int):
             purity_violation = max(purity_violation, purity(out) - purity(rho))
             drift = np.abs(dicke_populations(out, m) - dicke_populations(rho, m))
             pop_drift = max(pop_drift, float(np.max(drift)))
-        elif family.kind == "ssc":
-            monotone_violation = max(monotone_violation, v_total(out, m) - v_total(rho, m))
         else:
-            monotone_violation = max(monotone_violation, v_smc(out, m) - v_smc(rho, m))
+            monotone_violation = max(monotone_violation, lyapunov(out, m) - lyapunov(rho, m))
     yield (f"s-expectation conservation ({VERIFY_STATES} states)", conserve <= 1e-9, f"max drift {conserve:.2e}")
     if family.kind == "gossip":
         yield ("purity non-increasing", purity_violation <= 1e-12, f"max increase {purity_violation:.2e}")
         yield ("dicke populations invariant", pop_drift <= 1e-10, f"max drift {pop_drift:.2e}")
-    elif family.kind == "ssc":
-        yield ("v_total non-increasing", monotone_violation <= 1e-12, f"max increase {monotone_violation:.2e}")
     else:
-        yield ("v_smc non-increasing", monotone_violation <= 1e-12, f"max increase {monotone_violation:.2e}")
+        yield (f"{lyapunov.__name__} non-increasing", monotone_violation <= 1e-12,
+               f"max increase {monotone_violation:.2e}")
 
 
 def cmd_verify(args) -> int:

@@ -135,7 +135,7 @@ def ssc_pair_channel() -> KrausChannel:
 def ssc_channel(pair, m: int) -> KrausChannel:
     """The ssc pair map on sites (j, k) of an m-qubit network."""
     j, k = sorted(int(s) for s in pair)
-    return KrausChannel(ssc_pair_channel().kraus_ops, label=f"ssc({j},{k})", sites=(j, k), m=m)
+    return KrausChannel(_SSC_KRAUS, label=f"ssc({j},{k})", sites=(j, k), m=m)
 
 
 def ssc_feedback_decomposition() -> FeedbackDecomposition:
@@ -185,10 +185,17 @@ def smc_neighborhood_channel(n_sites: int) -> KrausChannel:
     return KrausChannel(tuple(ops), label=f"smc-neighborhood({n_sites})")
 
 
+# The two-site Kraus operators, built and checked once and shared read-only by
+# every pair channel.
+_SSC_KRAUS, _SMC_KRAUS = ssc_pair_channel().kraus_ops, smc_neighborhood_channel(2).kraus_ops
+for _op in _SSC_KRAUS + _SMC_KRAUS:
+    _op.flags.writeable = False
+
+
 def smc_channel(pair, m: int) -> KrausChannel:
     """The two-site smc map on sites (j, k) of an m-qubit network."""
     j, k = sorted(int(s) for s in pair)
-    return KrausChannel(smc_neighborhood_channel(2).kraus_ops, label=f"smc({j},{k})", sites=(j, k), m=m)
+    return KrausChannel(_SMC_KRAUS, label=f"smc({j},{k})", sites=(j, k), m=m)
 
 
 def neighborhood_channel(family: ChannelFamily, pair, m: int) -> KrausChannel:

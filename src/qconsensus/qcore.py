@@ -205,7 +205,9 @@ class KrausChannel:
     register (the first listed site is the most significant factor) and as
     the identity elsewhere; the defaults sites = (1..n), m = n mean the whole
     register.  dim = 2^m is the state dimension, and superop is the cached
-    local superoperator sum_k A_k (x) conj(A_k).
+    local superoperator sum_k A_k (x) conj(A_k), stored as float64 when it is
+    exactly real.  perm brings the row and column axes of `sites` to the front
+    of the (2,)*2m view of a state; inverse_perm undoes it.
 
     Construction enforces the completeness relation sum_k A_k^dag A_k = I
     within COMPLETENESS_ATOL; use check_cptp on a raw operator list to
@@ -218,6 +220,8 @@ class KrausChannel:
     m: int | None = None
     dim: int = field(init=False)
     superop: np.ndarray = field(init=False, repr=False)
+    perm: tuple[int, ...] = field(init=False, repr=False)
+    inverse_perm: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         ops = tuple(np.asarray(a, dtype=complex) for a in self.kraus_ops)
@@ -243,7 +247,12 @@ class KrausChannel:
         object.__setattr__(self, "sites", sites)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "dim", 1 << m)
-        object.__setattr__(self, "superop", sum(np.kron(a, a.conj()) for a in ops))
+        superop = sum(np.kron(a, a.conj()) for a in ops)
+        object.__setattr__(self, "superop", superop if superop.imag.any() else np.ascontiguousarray(superop.real))
+        axes = [s - 1 for s in sites] + [m + s - 1 for s in sites]
+        perm = tuple(axes + [a for a in range(2 * m) if a not in axes])
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "inverse_perm", tuple(perm.index(a) for a in range(2 * m)))
 
 
 @dataclass(frozen=True)
@@ -261,14 +270,17 @@ def check_cptp(channel_or_ops) -> CPTPReport:
 
 
 def _apply_local(channel: KrausChannel, superop: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Contract a local superoperator into the (2,)*2m qubit-tensor view of x."""
+    """Contract a local superoperator into the (2,)*2m view of x; a real one acts on the float64 view."""
     x = np.asarray(x, dtype=complex)
     if x.shape != (channel.dim, channel.dim):
         raise ValueError(f"operator shape {x.shape} does not match channel dim {channel.dim}")
-    n, m = len(channel.sites), channel.m
-    axes = [s - 1 for s in channel.sites] + [m + s - 1 for s in channel.sites]
-    out = np.tensordot(superop.reshape((2,) * (4 * n)), x.reshape((2,) * (2 * m)), (range(2 * n, 4 * n), axes))
-    return np.moveaxis(out, range(2 * n), axes).reshape(x.shape)
+    tensor_shape = (2,) * (2 * channel.m)
+    front = np.ascontiguousarray(x.reshape(tensor_shape).transpose(channel.perm).reshape(len(superop), -1))
+    if superop.dtype == complex:
+        out = superop @ front
+    else:
+        out = (superop @ front.view(np.float64)).view(complex)
+    return out.reshape(tensor_shape).transpose(channel.inverse_perm).reshape(x.shape)
 
 
 def apply_channel(channel: KrausChannel, rho: np.ndarray, *, validate: bool = True) -> np.ndarray:

@@ -138,17 +138,14 @@ def random_density(seed: int, dim: int) -> np.ndarray:
     return validate_density_matrix(rho)
 
 
-def _selection_probabilities(schedule: Schedule, topology: NetworkTopology) -> np.ndarray:
+def _random_picks(topology: NetworkTopology, seed: int, steps: int, probabilities=None) -> np.ndarray:
+    """`steps` i.i.d. neighborhood indices from default_rng(seed); weights default to the topology's, then uniform."""
     n = len(topology.neighborhoods)
-    if schedule.probabilities is not None:
-        q = np.array(schedule.probabilities, dtype=float)
-    elif topology.probabilities is not None:
-        q = np.array(topology.probabilities, dtype=float)
-    else:
-        q = np.full(n, 1.0 / n)
+    probabilities = topology.probabilities if probabilities is None else probabilities
+    q = np.full(n, 1.0 / n) if probabilities is None else np.array(probabilities, dtype=float)
     if q.shape != (n,):
         raise ValueError(f"{q.shape[0]} probabilities for {n} neighborhoods")
-    return q
+    return np.random.default_rng(seed).choice(n, size=steps, p=q)
 
 
 def _cyclic_order(schedule: Schedule, n_neighborhoods: int) -> tuple[int, ...]:
@@ -235,12 +232,9 @@ def run(
 
     if schedule.mode == "cyclic":
         order = _cyclic_order(schedule, len(channels))
-        picks = None
+        picks = [order[t % len(order)] for t in range(steps)]
     else:
-        q = _selection_probabilities(schedule, topology)
-        rng = np.random.default_rng(schedule.seed)
-        picks = rng.choice(len(channels), size=steps, p=q)
-        order = None
+        picks = _random_picks(topology, schedule.seed, steps, schedule.probabilities)
 
     gossip_target = None
     if early_stop and family.kind == "gossip":
@@ -249,8 +243,7 @@ def run(
     s_diag = 2.0 * (m - excitation_counts(m))
     records: list[TrajectoryRecord] = []
     quiet = 0
-    for t in range(1, steps + 1):
-        idx = order[(t - 1) % len(order)] if picks is None else int(picks[t - 1])
+    for t, idx in enumerate(picks, 1):
         rho = apply_channel(channels[idx], rho, validate=validate)
         records.append(_record(t, rho, m, s_diag))
         if early_stop:
@@ -272,11 +265,13 @@ def convergence_probability(
 ) -> float:
     """Fraction of randomized trials whose Lyapunov gap is below gamma.
 
-    Each trial draws its neighborhood sequence i.i.d. from the topology's
-    selection distribution (uniform if unset) using a stream derived from
-    (seed, trial index), runs for `horizon` steps, and tests whether the
-    family's Lyapunov gap at the horizon is below gamma.  Raises ValueError
-    on a disconnected interaction graph, where convergence is not guaranteed.
+    Trial t draws its neighborhoods i.i.d. from the topology's selection
+    distribution (uniform if unset) with the generator seeded by
+    SeedSequence(seed).spawn(trials)[t].generate_state(1)[0], so it equals
+    run(rho0, ..., Schedule.random(seed=<that seed>), horizon, validate=False)
+    followed by lyapunov_gap; the channels are built once per call and no
+    per-step records are kept.  Raises ValueError on a disconnected
+    interaction graph, where convergence is not guaranteed.
     """
     if gamma <= 0:
         raise ValueError(f"need gamma > 0, got {gamma}")
@@ -289,18 +284,13 @@ def convergence_probability(
     m = topology.m
     rho0 = validate_density_matrix(rho0)
     gossip_target = gossip_fixed_point(rho0, m) if family.kind == "gossip" else None
-    if horizon == 0:
-        gap = lyapunov_gap(family, rho0, m, gossip_target=gossip_target)
-        return 1.0 if gap < gamma else 0.0
-    children = np.random.SeedSequence(seed).spawn(trials)
+    channels = build_channels(family, topology)
     hits = 0
-    for child in children:
-        trial_seed = int(child.generate_state(1)[0])
-        schedule = Schedule.random(seed=trial_seed)
-        result = run(rho0, topology, family, schedule, horizon, validate=False)
-        gap = lyapunov_gap(family, result.final_state, m, gossip_target=gossip_target)
-        if gap < gamma:
-            hits += 1
+    for child in np.random.SeedSequence(seed).spawn(trials):
+        rho = rho0
+        for idx in _random_picks(topology, int(child.generate_state(1)[0]), horizon):
+            rho = apply_channel(channels[idx], rho, validate=False)
+        hits += lyapunov_gap(family, rho, m, gossip_target=gossip_target) < gamma
     return hits / trials
 
 

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from qconsensus.cli import main
+from qconsensus.cli import _wilson_interval, main
 from qconsensus.qcore import save_matrix
 from qconsensus.simulator import random_density
 
@@ -181,6 +183,32 @@ def test_convergence_estimate(tmp_path, capsys):
     assert main(["convergence", "--config", str(cfg_path)]) == 0
     out = capsys.readouterr().out
     assert "P[lyapunov gap < 0.01" in out
+
+
+def test_wilson_interval_values():
+    # 50 of 100: the textbook 95% Wilson interval (0.4038, 0.5962).
+    low, high = _wilson_interval(0.5, 100)
+    assert low == pytest.approx(0.40383, abs=1e-5) and high == pytest.approx(0.59617, abs=1e-5)
+    # 0/T and T/T keep the observed end exactly and stay inside [0, 1].
+    z2 = 1.959963984540054**2
+    assert _wilson_interval(0.0, 20) == (0.0, pytest.approx(z2 / (20 + z2)))
+    assert _wilson_interval(1.0, 20) == (pytest.approx(20 / (20 + z2)), 1.0)
+
+
+@pytest.mark.parametrize("gamma, estimate, interval", [(0.5, "0.0000", "[0.0000, 0.1611]"), (10, "1.0000", "[0.8389, 1.0000]")])
+def test_convergence_prints_wilson_interval(tmp_path, capsys, gamma, estimate, interval):
+    # At horizon 0 every trial keeps the W state, whose smc gap is 1: 0/20 hits below 0.5, 20/20 below 10.
+    cfg_path = tmp_path / "conv.yaml"
+    cfg_path.write_text(
+        "topology:\n  m: 3\n  edges: [[1, 2], [2, 3]]\n"
+        "family: {kind: smc}\n"
+        "initial_state: {kind: dicke, k: 1}\nseed: 5\n"
+        f"convergence: {{gamma: {gamma}, horizon: 0, trials: 20}}\n"
+    )
+    assert main(["convergence", "--config", str(cfg_path)]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"\] ~= (\S+) \(", out).group(1) == estimate
+    assert f"~= {estimate} (95% Wilson interval {interval}; 20 trials, family smc)" in out
 
 
 def test_print_schema(capsys):

@@ -374,3 +374,50 @@ def test_network_channels_hold_pair_operators():
         ch = neighborhood_channel(family, (5, 2), 6)
         assert ch.sites == (2, 5) and ch.m == 6 and ch.dim == 64
         assert all(a.shape == (4, 4) for a in ch.kraus_ops)
+
+
+def _complex_kraus_set(seed):
+    """Three 4x4 Kraus operators with complex entries: the blocks of a random isometry."""
+    rng = np.random.default_rng(seed)
+    v, _ = np.linalg.qr(rng.standard_normal((12, 4)) + 1j * rng.standard_normal((12, 4)))
+    return tuple(v[4 * k : 4 * k + 4] for k in range(3))
+
+
+def _kernel_inputs(m):
+    """A transposed density matrix and a strided slice of a larger array: neither is C-contiguous."""
+    d = 1 << m
+    rng = np.random.default_rng(m)
+    big = rng.standard_normal((2 * d, 3 * d)) + 1j * rng.standard_normal((2 * d, 3 * d))
+    return {"transposed": random_density(m, d).T, "strided": big[::2, 1::3]}
+
+
+@pytest.mark.parametrize("view", ["transposed", "strided"])
+@pytest.mark.parametrize(
+    "channel, dense_ops, superop_dtype",
+    [
+        (
+            KrausChannel(_complex_kraus_set(5), sites=(5, 2), m=5),
+            [embed_neighborhood(_SWAP @ a @ _SWAP, (2, 5), 5) for a in _complex_kraus_set(5)],
+            complex,
+        ),
+        (ssc_channel((4, 1), 5), [embed_neighborhood(a, (1, 4), 5) for a in ssc_pair_channel().kraus_ops], np.float64),
+        (
+            smc_channel((2, 5), 5),
+            [embed_neighborhood(a, (2, 5), 5) for a in smc_neighborhood_channel(2).kraus_ops],
+            np.float64,
+        ),
+    ],
+    ids=["complex-reversed", "ssc", "smc"],
+)
+def test_kernel_matches_dense_reference_on_non_contiguous_input(channel, dense_ops, superop_dtype, view):
+    # Complex Kraus operators take the complex matmul; the families' exactly
+    # real superoperators take the float64 one.
+    assert channel.superop.dtype == superop_dtype
+    x = _kernel_inputs(5)[view]
+    assert not x.flags.c_contiguous
+    before = x.copy()
+    forward = sum(a @ x @ a.conj().T for a in dense_ops)
+    dual = sum(a.conj().T @ x @ a for a in dense_ops)
+    assert np.max(np.abs(apply_channel(channel, x, validate=False) - forward)) < 1e-12
+    assert np.max(np.abs(dual_apply(channel, x) - dual)) < 1e-12
+    assert np.array_equal(x, before)

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from qconsensus.dynamics import ChannelFamily
+from qconsensus.dynamics import ChannelFamily, build_channels
 from qconsensus.network import NetworkTopology
-from qconsensus.qcore import bitstring_ket, ket_to_density, pure_state_fidelity
+from qconsensus.qcore import apply_channel, bitstring_ket, ket_to_density, pure_state_fidelity
 from qconsensus.simulator import (
     Schedule,
     apply_flip,
     convergence_probability,
+    lyapunov_gap,
     measure_global_observable,
     measure_local_z,
     prepare_dicke,
@@ -16,7 +17,7 @@ from qconsensus.simulator import (
     trajectory_csv_lines,
     write_trajectory_csv,
 )
-from qconsensus.symmetry import dicke_ket, gossip_fixed_point
+from qconsensus.symmetry import dicke_ket, excitation_counts, gossip_fixed_point
 
 PATH3 = NetworkTopology(m=3, neighborhoods=((1, 2), (2, 3)))
 
@@ -303,3 +304,56 @@ def test_convergence_probability_rejects_disconnected_topology():
     top = NetworkTopology(m=4, neighborhoods=((1, 2), (3, 4)))
     with pytest.raises(ValueError, match="connected"):
         convergence_probability(random_density(2, 16), top, ChannelFamily.ssc(), 0.01, 5, 3, 1)
+
+
+def _replayed_trial_gaps(rho0, topology, family, horizon, trials, seed):
+    """Final Lyapunov gap of every trial, replayed with `run` on the documented streams."""
+    target = gossip_fixed_point(rho0, topology.m) if family.kind == "gossip" else None
+    gaps = []
+    for child in np.random.SeedSequence(seed).spawn(trials):
+        schedule = Schedule.random(seed=int(child.generate_state(1)[0]))
+        final = run(rho0, topology, family, schedule, horizon, validate=False).final_state
+        gaps.append(lyapunov_gap(family, final, topology.m, gossip_target=target))
+    return sorted(gaps)
+
+
+@pytest.mark.parametrize(
+    "family, topology",
+    [
+        (ChannelFamily.gossip(0.3), NetworkTopology(m=4, neighborhoods=((1, 2), (2, 3), (3, 4)))),
+        (ChannelFamily.ssc(), NetworkTopology(m=5, neighborhoods=((1, 2), (2, 3), (3, 4), (4, 5)))),
+        (ChannelFamily.smc(), NetworkTopology(m=5, neighborhoods=((1, 2), (2, 3), (3, 4), (4, 5)))),
+        (ChannelFamily.ssc(), NetworkTopology(m=5, neighborhoods=((1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (2, 4)))),
+        (ChannelFamily.smc(), NetworkTopology(m=4, neighborhoods=((1, 2), (2, 3), (3, 4)), probabilities=(0.6, 0.3, 0.1))),
+    ],
+    ids=["gossip-path4", "ssc-path5", "smc-path5", "ssc-ring5-chord", "smc-path4-weighted"],
+)
+def test_convergence_probability_equals_trial_by_trial_replay(family, topology):
+    rho0 = random_density(37, 1 << topology.m)
+    horizon, trials, seed = 12, 10, 2024
+    gaps = _replayed_trial_gaps(rho0, topology, family, horizon, trials, seed)
+    # gamma between the two middle gaps, so both outcomes occur and every hit matters.
+    gamma = 0.5 * (gaps[trials // 2 - 1] + gaps[trials // 2])
+    expected = sum(g < gamma for g in gaps) / trials
+    assert 0.0 < expected < 1.0
+    assert convergence_probability(rho0, topology, family, gamma, horizon, trials, seed) == expected
+
+
+@pytest.mark.parametrize(
+    "family", [ChannelFamily.gossip(0.3), ChannelFamily.ssc(), ChannelFamily.smc()], ids=["gossip", "ssc", "smc"]
+)
+def test_long_validated_run_keeps_invariants_without_renormalisation(family):
+    topology = NetworkTopology(m=4, neighborhoods=((1, 2), (2, 3), (3, 4), (1, 4)))
+    rho0 = random_density(31, 16)
+    steps = 10_000
+    result = run(rho0, topology, family, Schedule.random(seed=8), steps, validate=True)
+    assert len(result.records) == steps
+    s0 = float(2.0 * (4 - excitation_counts(4)) @ np.real(np.diag(rho0)))
+    assert max(abs(r.s_expectation - s0) for r in result.records) <= 1e-9
+    # The validated run's final state is the bare composition of the channel
+    # maps on the same neighborhood sequence: nothing rescales or projects it.
+    channels = build_channels(family, topology)
+    rho = rho0
+    for idx in np.random.default_rng(8).choice(len(channels), size=steps, p=np.full(len(channels), 0.25)):
+        rho = apply_channel(channels[idx], rho, validate=False)
+    assert np.array_equal(result.final_state, rho)
