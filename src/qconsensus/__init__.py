@@ -20,7 +20,6 @@ from .dynamics import (
 )
 from .network import (
     NetworkTopology,
-    embed_local,
     embed_neighborhood,
     is_connected,
     permutation_unitary,
@@ -40,7 +39,6 @@ from .qcore import (
     pure_state_fidelity,
     purity,
     save_matrix,
-    tensor,
     validate_density_matrix,
 )
 from .simulator import (
@@ -61,7 +59,6 @@ from .symmetry import (
     ConsensusReport,
     consensus_report,
     dicke_ket,
-    excitation_basis,
     global_observable,
     gossip_fixed_point,
     is_smc,

@@ -16,7 +16,7 @@ import numpy as np
 import yaml
 
 from .dynamics import ChannelFamily, build_channels
-from .network import NetworkTopology, is_connected
+from .network import NetworkTopology
 from .qcore import (
     apply_channel,
     bitstring_ket,
@@ -116,15 +116,20 @@ def _section(cfg: dict, key: str, required: bool = True) -> dict:
     return value
 
 
+def _as_int(value, name: str) -> int:
+    """The value itself if it is a YAML integer; bools, floats and strings are config errors."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"'{name}' must be an integer, got {value!r}")
+    return value
+
+
 def _int_value(section: dict, key: str, context: str, *, required: bool = True, default=None):
     value = section.get(key, default)
     if value is None:
         if required:
             raise ConfigError(f"missing key '{context}.{key}'")
         return None
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"'{context}.{key}' must be an integer, got {value!r}")
-    return value
+    return _as_int(value, f"{context}.{key}")
 
 
 def _build_topology(cfg: dict) -> NetworkTopology:
@@ -137,7 +142,7 @@ def _build_topology(cfg: dict) -> NetworkTopology:
     for i, edge in enumerate(edges):
         if (not isinstance(edge, (list, tuple))) or len(edge) != 2:
             raise ConfigError(f"'topology.edges[{i}]' must be a pair of site indices")
-        pairs.append(tuple(edge))
+        pairs.append(tuple(_as_int(site, f"topology.edges[{i}][{j}]") for j, site in enumerate(edge)))
     probabilities = section.get("probabilities")
     try:
         return NetworkTopology(m=m, neighborhoods=tuple(pairs), probabilities=None if probabilities is None else tuple(probabilities))
@@ -163,14 +168,19 @@ def _build_family(cfg: dict) -> ChannelFamily:
 
 def _build_schedule(cfg: dict, master_seed: int) -> Schedule:
     section = _section(cfg, "schedule", required=False)
+    if "probabilities" in section:
+        raise ConfigError("'schedule.probabilities' is not a schedule key; set selection weights in 'topology.probabilities'")
     mode = section.get("mode", "cyclic")
     try:
         if mode == "cyclic":
             order = section.get("order")
-            return Schedule.cyclic(None if order is None else tuple(order))
+            if order is None:
+                return Schedule.cyclic()
+            if not isinstance(order, list):
+                raise ConfigError(f"'schedule.order' must be a list of edge indices, got {order!r}")
+            return Schedule.cyclic([_as_int(i, f"schedule.order[{n}]") for n, i in enumerate(order)])
         if mode == "random":
-            seed = section.get("seed", master_seed)
-            return Schedule.random(probabilities=section.get("probabilities"), seed=seed)
+            return Schedule.random(seed=_int_value(section, "seed", "schedule", default=master_seed))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"'schedule': {exc}") from exc
     raise ConfigError(f"'schedule.mode' must be cyclic or random, got {mode!r}")
@@ -216,10 +226,7 @@ def _steps(cfg: dict) -> int:
 def _master_seed(cfg: dict, override) -> int:
     if override is not None:
         return int(override)
-    seed = cfg.get("seed", DEFAULT_SEED)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError(f"'seed' must be an integer, got {seed!r}")
-    return seed
+    return _as_int(cfg.get("seed", DEFAULT_SEED), "seed")
 
 
 def _output_path(cfg: dict, args, default_name: str) -> Path:

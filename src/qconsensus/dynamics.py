@@ -39,25 +39,9 @@ __all__ = [
 
 FAMILY_KINDS = ("gossip", "ssc", "smc")
 
-# Two-qubit swap; in the excitation-ordered basis below the same matrix
-# exchanges the symmetric and antisymmetric vectors.
 _SWAP2 = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
-
-# Columns: |00>, (|01>+|10>)/sqrt2, (|01>-|10>)/sqrt2, |11>.  The ssc pair
-# operators are defined blockwise in this excitation-ordered basis and
-# conjugated back to the computational basis.
-_R = 1.0 / np.sqrt(2.0)
-_PAIR_EXCITATION_BASIS = np.array(
-    [
-        [1, 0, 0, 0],
-        [0, _R, _R, 0],
-        [0, _R, -_R, 0],
-        [0, 0, 0, 1],
-    ],
-    dtype=complex,
-).T
 
 
 @dataclass(frozen=True)
@@ -121,15 +105,12 @@ def ssc_pair_channel() -> KrausChannel:
     The first operator sends the antisymmetric vector (|01>-|10>)/sqrt2 to the
     symmetric one and annihilates the rest; the second is the orthogonal
     projector onto span{|00>, (|01>+|10>)/sqrt2, |11>}.  A single application
-    therefore maps any state of the pair onto that span.
+    therefore maps any state of the pair onto that span.  Every entry is 0,
+    +-0.5 or 1, so the completeness relation holds exactly in floating point.
     """
-    b = _PAIR_EXCITATION_BASIS
-    raise_block = np.zeros((4, 4), dtype=complex)
-    raise_block[1, 2] = 1.0
-    proj_block = np.diag([1.0, 1.0, 0.0, 1.0]).astype(complex)
-    m1 = b @ raise_block @ b.conj().T
-    m2 = b @ proj_block @ b.conj().T
-    return KrausChannel((m1, m2), label="ssc-pair")
+    anti_projector = 0.5 * np.array([[0, 0, 0, 0], [0, 1, -1, 0], [0, -1, 1, 0], [0, 0, 0, 0]], dtype=complex)
+    sym_from_anti = 0.5 * np.array([[0, 0, 0, 0], [0, 1, -1, 0], [0, 1, -1, 0], [0, 0, 0, 0]], dtype=complex)
+    return KrausChannel((sym_from_anti, np.eye(4, dtype=complex) - anti_projector), label="ssc-pair")
 
 
 def ssc_channel(pair, m: int) -> KrausChannel:
@@ -146,29 +127,20 @@ def ssc_feedback_decomposition() -> FeedbackDecomposition:
     span{|00>, |11>} (any unitary completion off the measured range works,
     since the correction is only ever applied after outcome 1).
     """
-    b = _PAIR_EXCITATION_BASIS
     p2 = ssc_pair_channel().kraus_ops[1]
     p1 = np.eye(4, dtype=complex) - p2
-    u1 = b @ _SWAP2 @ b.conj().T
+    u1 = np.diag([1.0, 1.0, -1.0, 1.0]).astype(complex)
     return FeedbackDecomposition(projector_1=p1, projector_2=p2, correction_unitary=u1)
-
-
-def _transposition(a: int, b: int, dim: int) -> np.ndarray:
-    u = np.eye(dim, dtype=complex)
-    u[[a, b]] = u[[b, a]]
-    return u
 
 
 def smc_neighborhood_channel(n_sites: int) -> KrausChannel:
     """Single-measurement-consensus map on a neighborhood of n_sites qubits.
 
     Kraus set: the projector onto span{|0...0>, |1...1>}, plus for every other
-    basis state |k> the pair sqrt(p_k0) U_k0 P_k and sqrt(p_k1) U_k1 P_k,
-    where U_k0 |k> = |0...0>, U_k1 |k> = |1...1>, and p_k0 is the number of
-    zero bits of k divided by n_sites (p_k1 = 1 - p_k0).  The weights make the
-    map conserve the excitation observable; zero-weight terms are dropped.
-    The unitaries are basis transpositions; only their action on |k> matters
-    because they always appear multiplied by P_k.
+    basis state |k> the pair sqrt(p_k0) |0...0><k| and sqrt(p_k1) |1...1><k|,
+    where p_k0 is the number of zero bits of k divided by n_sites and
+    p_k1 = 1 - p_k0.  The weights make the map conserve the excitation
+    observable; both are positive because k has a zero bit and a one bit.
     """
     if n_sites < 2:
         raise ValueError(f"need at least 2 sites in a neighborhood, got {n_sites}")
@@ -177,11 +149,10 @@ def smc_neighborhood_channel(n_sites: int) -> KrausChannel:
     counts = excitation_counts(n_sites)
     for k in range(1, dim - 1):
         p0 = (n_sites - counts[k]) / n_sites
-        proj_k = np.zeros((dim, dim), dtype=complex)
-        proj_k[k, k] = 1.0
         for weight, target in ((p0, 0), (1.0 - p0, dim - 1)):
-            if weight > 0.0:
-                ops.append(np.sqrt(weight) * (_transposition(k, target, dim) @ proj_k))
+            op = np.zeros((dim, dim), dtype=complex)
+            op[target, k] = np.sqrt(weight)
+            ops.append(op)
     return KrausChannel(tuple(ops), label=f"smc-neighborhood({n_sites})")
 
 

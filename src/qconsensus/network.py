@@ -10,7 +10,6 @@ import numpy as np
 __all__ = [
     "NetworkTopology",
     "is_connected",
-    "embed_local",
     "embed_neighborhood",
     "permutation_unitary",
     "permute_sites",
@@ -67,18 +66,6 @@ def is_connected(topology: NetworkTopology) -> bool:
     g.add_nodes_from(range(1, topology.m + 1))
     g.add_edges_from(topology.neighborhoods)
     return nx.is_connected(g)
-
-
-def embed_local(sigma: np.ndarray, site: int, m: int) -> np.ndarray:
-    """I^(site-1) (x) sigma (x) I^(m-site) for a single-qubit operator."""
-    sigma = np.asarray(sigma, dtype=complex)
-    if sigma.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 operator, got shape {sigma.shape}")
-    if not 1 <= site <= m:
-        raise ValueError(f"site {site} out of range 1..{m}")
-    left = np.eye(1 << (site - 1), dtype=complex)
-    right = np.eye(1 << (m - site), dtype=complex)
-    return np.kron(np.kron(left, sigma), right)
 
 
 def _site_axes(pi, m: int) -> list[int]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -23,7 +22,6 @@ __all__ = [
     "basis_ket",
     "bitstring_ket",
     "ket_to_density",
-    "tensor",
     "partial_trace",
     "purity",
     "expectation",
@@ -84,50 +82,38 @@ def ket_to_density(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def tensor(*factors: np.ndarray) -> np.ndarray:
-    """Kronecker product of operators (or kets); left factor most significant."""
-    if not factors:
-        raise ValueError("tensor needs at least one factor")
-    return reduce(np.kron, [np.asarray(f, dtype=complex) for f in factors])
-
-
 def hermiticity_residual(x: np.ndarray) -> float:
     """Max-abs deviation of a square matrix from its conjugate transpose."""
     x = np.asarray(x)
     return float(np.max(np.abs(x - x.conj().T)))
 
 
-def validate_density_matrix(
-    rho: np.ndarray,
-    *,
-    hermiticity_atol: float = HERMITICITY_ATOL,
-    trace_atol: float = TRACE_ATOL,
-    psd_atol: float = PSD_ATOL,
-) -> np.ndarray:
+def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Check Hermiticity, unit trace, and positive semidefiniteness.
 
     Returns the input as a complex array; raises ValueError naming the first
-    violated property.  The PSD check uses an eigenvalue floor of -psd_atol
-    because channel arithmetic accumulates rounding.  A Cholesky factorization
-    of the Hermitian part plus psd_atol * I decides it; eigvalsh runs only
-    when that factorization fails.
+    violated property.  The tolerances are HERMITICITY_ATOL, TRACE_ATOL and
+    PSD_ATOL.  The PSD check uses an eigenvalue floor of -PSD_ATOL because
+    channel arithmetic accumulates rounding.  A Cholesky factorization of the
+    Hermitian part plus PSD_ATOL * I decides it; eigvalsh runs only when that
+    factorization fails.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
     herm = hermiticity_residual(rho)
-    if herm > hermiticity_atol:
-        raise ValueError(f"not Hermitian: residual {herm:.3e} > {hermiticity_atol:.1e}")
+    if herm > HERMITICITY_ATOL:
+        raise ValueError(f"not Hermitian: residual {herm:.3e} > {HERMITICITY_ATOL:.1e}")
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > trace_atol:
-        raise ValueError(f"trace {tr:.12g} deviates from 1 by more than {trace_atol:.1e}")
+    if abs(tr - 1.0) > TRACE_ATOL:
+        raise ValueError(f"trace {tr:.12g} deviates from 1 by more than {TRACE_ATOL:.1e}")
     shifted = 0.5 * (rho + rho.conj().T)
-    shifted.flat[:: len(shifted) + 1] += psd_atol
+    shifted.flat[:: len(shifted) + 1] += PSD_ATOL
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
-        min_eig = float(np.linalg.eigvalsh(shifted)[0]) - psd_atol
-        if min_eig < -psd_atol:
+        min_eig = float(np.linalg.eigvalsh(shifted)[0]) - PSD_ATOL
+        if min_eig < -PSD_ATOL:
             raise ValueError(f"not positive semidefinite: min eigenvalue {min_eig:.3e}") from None
     return rho
 

@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 MEASUREMENT_PROBABILITY_FLOOR = 1e-12
+EARLY_STOP_THRESHOLD = 1e-10
 
 
 @dataclass(frozen=True)
@@ -55,13 +56,12 @@ class Schedule:
     Cyclic mode repeats `order` (indices into the topology's neighborhood
     list); the order must cover every neighborhood at least once, and `None`
     means plain round robin.  Random mode draws independently each step from
-    `probabilities` (falling back to the topology's weights, then uniform),
-    using a generator seeded with `seed`.
+    the topology's selection weights (uniform if unset), using a generator
+    seeded with `seed`.
     """
 
     mode: str
     order: tuple[int, ...] | None = None
-    probabilities: tuple[float, ...] | None = None
     seed: int | None = None
 
     def __post_init__(self):
@@ -73,28 +73,16 @@ class Schedule:
                 if not order:
                     raise ValueError("cyclic order must be nonempty")
                 object.__setattr__(self, "order", order)
-        else:
-            if self.seed is None:
-                raise ValueError("random schedules need a seed")
-            if self.probabilities is not None:
-                q = tuple(float(p) for p in self.probabilities)
-                if any(p <= 0 for p in q):
-                    raise ValueError("schedule probabilities must be positive")
-                if abs(sum(q) - 1.0) > 1e-12:
-                    raise ValueError(f"schedule probabilities sum to {sum(q)!r}, not 1")
-                object.__setattr__(self, "probabilities", q)
+        elif self.seed is None:
+            raise ValueError("random schedules need a seed")
 
     @classmethod
     def cyclic(cls, order=None) -> "Schedule":
         return cls(mode="cyclic", order=None if order is None else tuple(order))
 
     @classmethod
-    def random(cls, probabilities=None, seed: int = 0) -> "Schedule":
-        return cls(
-            mode="random",
-            probabilities=None if probabilities is None else tuple(probabilities),
-            seed=int(seed),
-        )
+    def random(cls, seed: int = 0) -> "Schedule":
+        return cls(mode="random", seed=int(seed))
 
 
 @dataclass(frozen=True)
@@ -138,13 +126,11 @@ def random_density(seed: int, dim: int) -> np.ndarray:
     return validate_density_matrix(rho)
 
 
-def _random_picks(topology: NetworkTopology, seed: int, steps: int, probabilities=None) -> np.ndarray:
-    """`steps` i.i.d. neighborhood indices from default_rng(seed); weights default to the topology's, then uniform."""
+def _random_picks(topology: NetworkTopology, seed: int, steps: int) -> np.ndarray:
+    """`steps` i.i.d. neighborhood indices from default_rng(seed), weighted by the topology (uniform if unset)."""
     n = len(topology.neighborhoods)
-    probabilities = topology.probabilities if probabilities is None else probabilities
-    q = np.full(n, 1.0 / n) if probabilities is None else np.array(probabilities, dtype=float)
-    if q.shape != (n,):
-        raise ValueError(f"{q.shape[0]} probabilities for {n} neighborhoods")
+    # An explicit uniform p: choice(n, p=None) draws a different stream.
+    q = np.full(n, 1.0 / n) if topology.probabilities is None else np.array(topology.probabilities)
     return np.random.default_rng(seed).choice(n, size=steps, p=q)
 
 
@@ -199,7 +185,6 @@ def run(
     *,
     validate: bool = True,
     early_stop: bool = False,
-    early_stop_threshold: float = 1e-10,
 ) -> RunResult:
     """Evolve an initial state for `steps` single-neighborhood channel steps.
 
@@ -214,7 +199,7 @@ def run(
     validate : re-check density-matrix invariants after every step; disable
         for benchmark runs
     early_stop : stop once the family's Lyapunov gap stays below
-        `early_stop_threshold` for 2*m consecutive steps
+        EARLY_STOP_THRESHOLD for 2*m consecutive steps
 
     Returns
     -------
@@ -234,7 +219,7 @@ def run(
         order = _cyclic_order(schedule, len(channels))
         picks = [order[t % len(order)] for t in range(steps)]
     else:
-        picks = _random_picks(topology, schedule.seed, steps, schedule.probabilities)
+        picks = _random_picks(topology, schedule.seed, steps)
 
     gossip_target = None
     if early_stop and family.kind == "gossip":
@@ -248,7 +233,7 @@ def run(
         records.append(_record(t, rho, m, s_diag))
         if early_stop:
             gap = lyapunov_gap(family, rho, m, gossip_target=gossip_target)
-            quiet = quiet + 1 if gap < early_stop_threshold else 0
+            quiet = quiet + 1 if gap < EARLY_STOP_THRESHOLD else 0
             if quiet >= 2 * m:
                 break
     return RunResult(records=records, final_state=rho)

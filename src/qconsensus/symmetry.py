@@ -15,14 +15,12 @@ from math import comb
 import numpy as np
 
 from .network import permute_sites
-from .qcore import basis_ket
 
 __all__ = [
     "dicke_ket",
     "site_bits",
     "excitation_counts",
     "excitation_indices",
-    "excitation_basis",
     "schmidt_reconstruct",
     "global_observable",
     "smc_projector",
@@ -73,11 +71,6 @@ def dicke_ket(m: int, k: int) -> np.ndarray:
     if not 0 <= k <= m:
         raise ValueError(f"excitation count {k} out of range 0..{m}")
     return _dicke_matrix(m)[:, k].astype(complex)
-
-
-def excitation_basis(m: int, k: int) -> list[np.ndarray]:
-    """Computational basis vectors spanning the k-excitation subspace."""
-    return [basis_ket(1 << m, n) for n in excitation_indices(m, k)]
 
 
 def schmidt_reconstruct(m: int, k: int, m_a: int) -> np.ndarray:

@@ -253,3 +253,39 @@ def test_prepare_rejects_non_boolean_s_measurement(tmp_path, capsys, flag):
     )
     assert main(["prepare", "--config", str(cfg_path)]) == 1
     assert "use_s_measurement" in capsys.readouterr().err
+
+
+def test_run_rejects_schedule_probabilities(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(
+        "topology:\n  m: 3\n  edges: [[1, 2], [2, 3]]\nfamily: {kind: ssc}\n"
+        "schedule: {mode: random, seed: 3, probabilities: [0.9, 0.1]}\n"
+        "steps: 5\ninitial_state: {kind: random, seed: 3}\n"
+    )
+    assert main(["run", "--config", str(cfg_path), "--output-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "topology.probabilities" in err
+
+
+@pytest.mark.parametrize(
+    "edges, schedule, key",
+    [
+        ("[[1, 2], [2, 3]]", "{mode: random, seed: 1.5}", "schedule.seed"),
+        ("[[1, 2], [2, 3]]", "{mode: random, seed: true}", "schedule.seed"),
+        ("[[1, 2], [2, 3]]", "{mode: random, seed: '7'}", "schedule.seed"),
+        ("[[1, 2], [2, 3]]", "{mode: cyclic, order: [0.7, 1]}", "schedule.order"),
+        ("[[1, 2], [2, 3]]", "{mode: cyclic, order: '01'}", "schedule.order"),
+        ("[[1, 2.7], [2, 3]]", "{mode: cyclic}", "topology.edges"),
+        ("[['1', 2], [2, 3]]", "{mode: cyclic}", "topology.edges"),
+    ],
+    ids=["seed-float", "seed-bool", "seed-str", "order-float", "order-str", "edge-float", "edge-str"],
+)
+def test_run_rejects_non_integer_fields(tmp_path, capsys, edges, schedule, key):
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(
+        f"topology:\n  m: 3\n  edges: {edges}\nfamily: {{kind: ssc}}\nschedule: {schedule}\n"
+        "steps: 5\ninitial_state: {kind: random, seed: 3}\n"
+    )
+    assert main(["run", "--config", str(cfg_path), "--output-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err

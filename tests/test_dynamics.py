@@ -20,11 +20,12 @@ from qconsensus.qcore import (
     apply_channel,
     bitstring_ket,
     check_cptp,
+    completeness_residual,
     dual_apply,
     ket_to_density,
     purity,
 )
-from qconsensus.simulator import random_density
+from qconsensus.simulator import Schedule, random_density, run
 from qconsensus.symmetry import dicke_ket, global_observable, v_smc, v_total
 
 R2 = 1.0 / np.sqrt(2.0)
@@ -147,6 +148,18 @@ def test_feedback_decomposition_reconstructs_first_kraus_operator():
     anti = np.array([0.0, R2, -R2, 0.0], dtype=complex)
     assert abs(np.trace(fd.projector_1).real - 1.0) < 1e-12
     assert np.max(np.abs(fd.projector_1 @ anti - anti)) < 1e-12
+
+
+def test_ssc_pair_map_is_exactly_trace_preserving():
+    # Operators with 1/sqrt2 entries leave a completeness residual of ~4e-16,
+    # and the trace error then grows by ~2e-16 per step, always the same way.
+    assert completeness_residual(ssc_pair_channel()) == 0.0
+    fd = ssc_feedback_decomposition()
+    assert np.array_equal(fd.correction_unitary, np.diag([1.0, 1.0, -1.0, 1.0]))
+    assert np.array_equal(fd.correction_unitary @ fd.projector_1, ssc_pair_channel().kraus_ops[0])
+    ring = NetworkTopology(m=4, neighborhoods=((1, 2), (2, 3), (3, 4), (1, 4)))
+    result = run(random_density(31, 16), ring, ChannelFamily.ssc(), Schedule.random(seed=8), 10_000, validate=False)
+    assert abs(np.trace(result.final_state) - 1.0) <= 1e-14
 
 
 def test_smc_neighborhood_two_qubits_balanced_weights():

@@ -5,13 +5,12 @@ from hypothesis import strategies as st
 
 from qconsensus.network import (
     NetworkTopology,
-    embed_local,
     embed_neighborhood,
     is_connected,
     permutation_unitary,
     permute_sites,
 )
-from qconsensus.qcore import SIGMA_X, SIGMA_Z, bitstring_ket
+from qconsensus.qcore import bitstring_ket
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 
@@ -47,23 +46,6 @@ def test_topology_validation():
 def test_topology_normalizes_pair_order():
     top = NetworkTopology(m=3, neighborhoods=((3, 1),))
     assert top.neighborhoods == ((1, 3),)
-
-
-def test_embed_local_definitional():
-    assert np.array_equal(embed_local(SIGMA_Z, 2, 2), np.kron(np.eye(2), SIGMA_Z))
-    assert np.array_equal(embed_local(SIGMA_X, 1, 1), SIGMA_X)
-
-
-def test_embed_local_msb_ordering():
-    # sigma_z on site 1 of |100>: site 1 holds |1>, eigenvalue -1.
-    op = embed_local(SIGMA_Z, 1, 3)
-    v = bitstring_ket("100")
-    assert np.allclose(op @ v, -v)
-
-
-def test_embed_local_site_out_of_range():
-    with pytest.raises(ValueError):
-        embed_local(SIGMA_Z, 4, 3)
 
 
 def test_embed_neighborhood_whole_space():

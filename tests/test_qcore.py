@@ -5,7 +5,6 @@ from qconsensus.dynamics import gossip_channel, smc_channel, ssc_channel
 from qconsensus.qcore import (
     I2,
     PSD_ATOL,
-    SIGMA_X,
     SIGMA_Z,
     KrausChannel,
     apply_channel,
@@ -23,7 +22,6 @@ from qconsensus.qcore import (
     pure_state_fidelity,
     purity,
     save_matrix,
-    tensor,
     validate_density_matrix,
 )
 from qconsensus.simulator import random_density
@@ -45,20 +43,6 @@ def test_bitstring_ket_site_one_most_significant():
     assert np.argmax(np.abs(bitstring_ket("100"))) == 4
     with pytest.raises(ValueError):
         bitstring_ket("012")
-
-
-def test_tensor_identities():
-    assert np.array_equal(tensor(I2, I2), np.eye(4))
-    assert np.array_equal(tensor(SIGMA_Z, I2), np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex))
-
-
-def test_tensor_projector_with_sigma_x():
-    # |0><0| (x) sigma_x expanded by hand: sigma_x in the upper-left block.
-    expected = np.zeros((4, 4), dtype=complex)
-    expected[0, 1] = 1.0
-    expected[1, 0] = 1.0
-    got = tensor(ket_to_density(basis_ket(2, 0)), SIGMA_X)
-    assert np.max(np.abs(got - expected)) == 0.0
 
 
 def test_partial_trace_product_state():

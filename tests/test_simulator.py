@@ -29,8 +29,6 @@ def test_schedule_validation():
         Schedule.cyclic(())
     with pytest.raises(ValueError):
         Schedule(mode="random")  # no seed
-    with pytest.raises(ValueError):
-        Schedule.random(probabilities=(0.5, 0.6), seed=1)
     assert Schedule.cyclic((0, 1)).order == (0, 1)
     assert Schedule.random(seed=3).seed == 3
 

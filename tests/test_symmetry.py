@@ -14,7 +14,6 @@ from qconsensus.symmetry import (
     consensus_report,
     dicke_ket,
     dicke_populations,
-    excitation_basis,
     excitation_counts,
     excitation_indices,
     global_observable,
@@ -68,13 +67,9 @@ def test_dicke_invariants(m):
             assert abs(dicke_ket(m, k2).conj() @ d) <= 1e-12
 
 
-def test_excitation_basis_enumeration():
-    vecs = excitation_basis(2, 1)
-    assert len(vecs) == 2
-    assert np.allclose(vecs[0], bitstring_ket("01"))
-    assert np.allclose(vecs[1], bitstring_ket("10"))
-    assert len(excitation_basis(3, 0)) == 1
-    assert np.allclose(excitation_basis(3, 0)[0], bitstring_ket("000"))
+def test_excitation_indices_enumeration():
+    assert excitation_indices(2, 1) == [1, 2]
+    assert excitation_indices(3, 0) == [0]
     assert excitation_indices(4, 2) == [3, 5, 6, 9, 10, 12]
 
 
