@@ -10,6 +10,10 @@ state:
 * build_s: constructing the channel (`neighborhood_channel`);
 * apply_s: one `apply_channel(..., validate=False)`;
 * validate_s: one `validate_density_matrix` of the output;
+* anchor_s: one `qcore.certify_density_matrix` of the output, the Cholesky
+  "anchor" that a validated `run` makes on its input, at its last step and
+  whenever its positivity debt passes the budget (null on a checkout
+  without that function);
 * purity_s: one `purity` of the output;
 * convergence_s: one end-to-end `simulator.convergence_probability` on the
   m-site path graph from the seeded state (CONVERGENCE_TRIALS trials of
@@ -83,6 +87,7 @@ def record_fn(m: int):
 
 def layer_times(m: int) -> dict:
     """Median per-family layer times at size m, plus record and fixed-point times."""
+    from qconsensus import qcore
     from qconsensus.dynamics import ChannelFamily, neighborhood_channel
     from qconsensus.network import NetworkTopology
     from qconsensus.qcore import apply_channel, purity, validate_density_matrix
@@ -92,6 +97,7 @@ def layer_times(m: int) -> dict:
     pair = (m // 2, m // 2 + 1)
     rho = random_density(m, 1 << m) if m <= 10 else low_rank_density(m, 1 << m)
     repeats = repeats_for(m)
+    certify = getattr(qcore, "certify_density_matrix", None)
     out = {}
     for kind in FAMILIES:
         family = ChannelFamily(kind)
@@ -101,6 +107,7 @@ def layer_times(m: int) -> dict:
             "build_s": median_time(lambda: neighborhood_channel(family, pair, m), repeats),
             "apply_s": median_time(lambda: apply_channel(channel, rho, validate=False), repeats),
             "validate_s": median_time(lambda: validate_density_matrix(after), repeats),
+            "anchor_s": None if certify is None else median_time(lambda: certify(after), repeats),
             "purity_s": median_time(lambda: purity(after), repeats),
             "repeats": repeats,
         }
@@ -140,6 +147,7 @@ def sweep_run(m: int) -> dict:
         "final_trace": float(np.trace(result.final_state).real),
         "s_drift": abs(last.s_expectation - result.records[0].s_expectation),
         "final_v_total": last.v_total,
+        "final_psd_debt": getattr(last, "psd_debt", None),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
 

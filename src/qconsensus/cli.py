@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from itertools import combinations
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +124,13 @@ def _as_int(value, name: str) -> int:
     return value
 
 
+def _as_number(value, name: str) -> float:
+    """The value as a float if it is a YAML number; bools and strings are config errors."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ConfigError(f"'{name}' must be a number, got {value!r}")
+    return float(value)
+
+
 def _int_value(section: dict, key: str, context: str, *, required: bool = True, default=None):
     value = section.get(key, default)
     if value is None:
@@ -144,8 +152,12 @@ def _build_topology(cfg: dict) -> NetworkTopology:
             raise ConfigError(f"'topology.edges[{i}]' must be a pair of site indices")
         pairs.append(tuple(_as_int(site, f"topology.edges[{i}][{j}]") for j, site in enumerate(edge)))
     probabilities = section.get("probabilities")
+    if probabilities is not None:
+        if not isinstance(probabilities, list):
+            raise ConfigError(f"'topology.probabilities' must be a list of numbers, got {probabilities!r}")
+        probabilities = tuple(_as_number(p, f"topology.probabilities[{i}]") for i, p in enumerate(probabilities))
     try:
-        return NetworkTopology(m=m, neighborhoods=tuple(pairs), probabilities=None if probabilities is None else tuple(probabilities))
+        return NetworkTopology(m=m, neighborhoods=tuple(pairs), probabilities=probabilities)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"'topology': {exc}") from exc
 
@@ -158,7 +170,7 @@ def _build_family(cfg: dict) -> ChannelFamily:
     alpha = section.get("alpha")
     try:
         if kind == "gossip":
-            return ChannelFamily.gossip(0.5 if alpha is None else float(alpha))
+            return ChannelFamily.gossip(0.5 if alpha is None else _as_number(alpha, "family.alpha"))
         if alpha is not None:
             raise ConfigError(f"'family.alpha' is only valid for gossip")
         return ChannelFamily(kind)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import networkx as nx
 import numpy as np
@@ -16,6 +17,13 @@ __all__ = [
 ]
 
 PROBABILITY_SUM_ATOL = 1e-12
+
+
+def _as_index(value, what: str) -> int:
+    """An integer (Python or numpy) as int; bools, floats and strings raise ValueError."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, Integral):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -37,7 +45,7 @@ class NetworkTopology:
             raise ValueError(f"need at least 2 sites, got m={self.m}")
         pairs = []
         for pair in self.neighborhoods:
-            j, k = (int(s) for s in pair)
+            j, k = (_as_index(s, "site") for s in pair)
             if j == k:
                 raise ValueError(f"neighborhood {pair} repeats a site")
             j, k = min(j, k), max(j, k)
@@ -48,6 +56,8 @@ class NetworkTopology:
             raise ValueError("duplicate neighborhoods")
         object.__setattr__(self, "neighborhoods", tuple(pairs))
         if self.probabilities is not None:
+            if any(isinstance(p, (bool, np.bool_)) or not isinstance(p, Real) for p in self.probabilities):
+                raise ValueError(f"selection probabilities {self.probabilities!r} must be numbers")
             q = tuple(float(p) for p in self.probabilities)
             if len(q) != len(pairs):
                 raise ValueError(

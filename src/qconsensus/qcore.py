@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "I2",
     "SIGMA_X",
-    "SIGMA_Y",
     "SIGMA_Z",
     "ket",
     "basis_ket",
@@ -27,11 +26,14 @@ __all__ = [
     "expectation",
     "pure_state_fidelity",
     "hermiticity_residual",
+    "check_trace",
+    "certify_density_matrix",
     "validate_density_matrix",
     "KrausChannel",
     "CPTPReport",
     "completeness_residual",
     "apply_channel",
+    "apply_error_bound",
     "dual_apply",
     "check_cptp",
     "save_matrix",
@@ -40,7 +42,6 @@ __all__ = [
 
 I2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 # Default numerical tolerances for state and channel validation.
@@ -88,33 +89,83 @@ def hermiticity_residual(x: np.ndarray) -> float:
     return float(np.max(np.abs(x - x.conj().T)))
 
 
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u), with u the float64 unit roundoff."""
+    u = np.finfo(float).eps / 2
+    return n * u / (1 - n * u)
+
+
+def check_trace(rho: np.ndarray) -> None:
+    """Raise ValueError unless |Tr(rho) - 1| <= TRACE_ATOL; reads only the diagonal."""
+    tr = complex(np.trace(rho))
+    if abs(tr - 1.0) > TRACE_ATOL:
+        raise ValueError(f"trace {tr:.12g} deviates from 1 by more than {TRACE_ATOL:.1e}")
+
+
+def certify_density_matrix(rho: np.ndarray) -> float:
+    """Check rho as validate_density_matrix does, and return its positivity debt.
+
+    The debt is a certified upper bound, in trace norm, on the distance from
+    rho to a positive semidefinite matrix.  With H the Hermitian part of rho,
+    d the dimension and c = PSD_ATOL / (4d), a Cholesky factorization R^dag R
+    of H + cI that succeeds is exact for H + cI + dA with
+    ||dA||_F <= gamma_{d+1} ||R||_F^2 (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., Thm 10.3), and ||R||_F^2 = Tr(H + cI + dA)
+    is 1 + d c up to TRACE_ATOL and second-order terms.  Since
+    ||X||_1 <= sqrt(d) ||X||_F, rho is within
+
+        d c + sqrt(d) (gamma_{d+2} (1 + d c) + ||rho - H||_F)
+
+    of the positive semidefinite R^dag R; the extra unit in gamma covers the
+    rounding of forming H.  The shift is PSD_ATOL / (4d), not PSD_ATOL: a
+    factorization bounds the most negative eigenvalue, but the debt sums d
+    of them.  When the factorization fails, eigvalsh decides as it always
+    has (reject below -PSD_ATOL), and the debt is the negative eigenvalue
+    mass plus the same error terms (the symmetric eigensolver is backward
+    stable, with an error of the same order).  Raises ValueError naming the
+    first violated property; rho is never modified.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValueError(f"density matrix must be square, got shape {rho.shape}")
+    skew = rho - rho.conj().T
+    skew_norm = np.sqrt(np.vdot(skew, skew).real)
+    # The max-abs residual is at most the Frobenius norm, so the entrywise
+    # scan runs only when the norm alone cannot pass the state.
+    if skew_norm > HERMITICITY_ATOL and (herm := float(np.max(np.abs(skew)))) > HERMITICITY_ATOL:
+        raise ValueError(f"not Hermitian: residual {herm:.3e} > {HERMITICITY_ATOL:.1e}")
+    check_trace(rho)
+    d = len(rho)
+    shift = PSD_ATOL / (4 * d)
+    floor = np.sqrt(d) * (_gamma(d + 2) * (1 + d * shift) + 0.5 * skew_norm)
+    # The one shifted copy: H + cI = rho - skew/2 + cI, formed in place.
+    # LAPACK reads only its lower triangle.
+    shifted = skew
+    shifted *= -0.5
+    shifted += rho
+    shifted.flat[:: d + 1] += shift
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        eigs = np.linalg.eigvalsh(shifted) - shift
+        if eigs[0] < -PSD_ATOL:
+            raise ValueError(f"not positive semidefinite: min eigenvalue {eigs[0]:.3e}") from None
+        return float(floor - eigs[eigs < 0].sum())
+    return float(d * shift + floor)
+
+
 def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Check Hermiticity, unit trace, and positive semidefiniteness.
 
     Returns the input as a complex array; raises ValueError naming the first
     violated property.  The tolerances are HERMITICITY_ATOL, TRACE_ATOL and
     PSD_ATOL.  The PSD check uses an eigenvalue floor of -PSD_ATOL because
-    channel arithmetic accumulates rounding.  A Cholesky factorization of the
-    Hermitian part plus PSD_ATOL * I decides it; eigvalsh runs only when that
-    factorization fails.
+    channel arithmetic accumulates rounding.  It runs certify_density_matrix:
+    a Cholesky factorization of the slightly shifted Hermitian part, and
+    eigvalsh only when that factorization fails.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-    herm = hermiticity_residual(rho)
-    if herm > HERMITICITY_ATOL:
-        raise ValueError(f"not Hermitian: residual {herm:.3e} > {HERMITICITY_ATOL:.1e}")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > TRACE_ATOL:
-        raise ValueError(f"trace {tr:.12g} deviates from 1 by more than {TRACE_ATOL:.1e}")
-    shifted = 0.5 * (rho + rho.conj().T)
-    shifted.flat[:: len(shifted) + 1] += PSD_ATOL
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        min_eig = float(np.linalg.eigvalsh(shifted)[0]) - PSD_ATOL
-        if min_eig < -PSD_ATOL:
-            raise ValueError(f"not positive semidefinite: min eigenvalue {min_eig:.3e}") from None
+    certify_density_matrix(rho)
     return rho
 
 
@@ -148,9 +199,12 @@ def partial_trace(rho: np.ndarray, m: int, keep) -> np.ndarray:
 
 
 def purity(rho: np.ndarray) -> float:
-    """Tr(rho^2); 1 for pure states, 1/dim for the maximally mixed state."""
-    rho = np.asarray(rho, dtype=complex)
-    return float(np.real(np.einsum("ij,ji->", rho, rho)))
+    """Squared Frobenius norm sum |rho_ij|^2, which is Tr(rho^2) for Hermitian rho.
+
+    1 for pure states, 1/dim for the maximally mixed state.  One O(d^2) pass;
+    for a non-Hermitian matrix it is not Tr(rho^2).
+    """
+    return float(np.vdot(rho, rho).real)
 
 
 def expectation(rho: np.ndarray, x: np.ndarray, *, hermiticity_atol: float = HERMITICITY_ATOL) -> float:
@@ -280,6 +334,28 @@ def apply_channel(channel: KrausChannel, rho: np.ndarray, *, validate: bool = Tr
     if validate:
         validate_density_matrix(out)
     return out
+
+
+def apply_error_bound(channel: KrausChannel) -> float:
+    """Trace-norm bound, per unit ||rho||_F, on the error of one apply_channel.
+
+    Let E be the exactly CPTP map whose superoperator the stored one
+    approximates.  Every output entry of the kernel is a real 16-term dot
+    product of a row of the stored superoperator S with a column of the
+    float64 view x of rho (transposes are exact), so
+    |fl(S x) - S x| <= gamma_16 |S| |x| (Higham, 2nd ed., Sec. 3.5).  The
+    stored S is within 5u entrywise of E's superoperator (0 for ssc, at most
+    2u for smc and 2.7u measured for gossip; 5u is the worst case of
+    rounding 1 - alpha, its square root, the square and the sum), and
+    gamma_16 + 5u/(1 - 5u) <= gamma_21.  Column by column the error is then at
+    most gamma_21 || |S| ||_2 ||x||_F in Frobenius norm, with ||x||_F = ||rho||_F,
+    and ||X||_1 <= sqrt(d) ||X||_F.  The result is sqrt(d) gamma_21 times
+    sqrt(||S||_1 ||S||_inf), the product of the largest column and row sums
+    of |S|, which bounds || |S| ||_2 (equal for all three families) without
+    an SVD.  It holds for a real superoperator, as for all three families.
+    """
+    a = np.abs(channel.superop)
+    return float(np.sqrt(channel.dim) * _gamma(21) * np.sqrt(a.sum(0).max() * a.sum(1).max()))
 
 
 def dual_apply(channel: KrausChannel, x: np.ndarray) -> np.ndarray:

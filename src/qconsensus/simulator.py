@@ -10,17 +10,27 @@ seed, so results are reproducible and independent of trial execution order.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import ChannelFamily, build_channels
-from .network import NetworkTopology, is_connected
-from .qcore import apply_channel, purity, validate_density_matrix
+from .network import NetworkTopology, _as_index, is_connected
+from .qcore import (
+    PSD_ATOL,
+    apply_channel,
+    apply_error_bound,
+    certify_density_matrix,
+    check_trace,
+    purity,
+    validate_density_matrix,
+)
 from .symmetry import (
     dicke_populations,
     excitation_counts,
+    global_observable_diagonal,
     gossip_fixed_point,
     site_bits,
     v_smc,
@@ -47,6 +57,9 @@ __all__ = [
 
 MEASUREMENT_PROBABILITY_FLOOR = 1e-12
 EARLY_STOP_THRESHOLD = 1e-10
+# A validated run factorizes its state again once the certified positivity
+# debt would pass this bound (see run).
+PSD_DEBT_BUDGET = PSD_ATOL / 2
 
 
 @dataclass(frozen=True)
@@ -69,7 +82,7 @@ class Schedule:
             raise ValueError(f"unknown schedule mode {self.mode!r}")
         if self.mode == "cyclic":
             if self.order is not None:
-                order = tuple(int(i) for i in self.order)
+                order = tuple(_as_index(i, "cyclic order entry") for i in self.order)
                 if not order:
                     raise ValueError("cyclic order must be nonempty")
                 object.__setattr__(self, "order", order)
@@ -82,12 +95,16 @@ class Schedule:
 
     @classmethod
     def random(cls, seed: int = 0) -> "Schedule":
-        return cls(mode="random", seed=int(seed))
+        return cls(mode="random", seed=_as_index(seed, "schedule seed"))
 
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
-    """Per-step diagnostics logged after each channel application."""
+    """Per-step diagnostics logged after each channel application.
+
+    psd_debt is the certified positivity debt of a validated run after the
+    step (see run), and None when the run is not validated.
+    """
 
     step: int
     purity: float
@@ -96,6 +113,7 @@ class TrajectoryRecord:
     v_smc: float
     dicke_populations: tuple[float, ...]
     smc_population: float
+    psd_debt: float | None
 
 
 @dataclass
@@ -143,7 +161,7 @@ def _cyclic_order(schedule: Schedule, n_neighborhoods: int) -> tuple[int, ...]:
     return order
 
 
-def _record(step: int, rho: np.ndarray, m: int, s_diag: np.ndarray) -> TrajectoryRecord:
+def _record(step: int, rho: np.ndarray, m: int, s_diag: np.ndarray, psd_debt: float | None) -> TrajectoryRecord:
     diag = np.real(np.diag(rho))
     pops = tuple(float(p) for p in dicke_populations(rho, m))
     smc_pop = float(rho[0, 0].real + rho[-1, -1].real)
@@ -155,6 +173,7 @@ def _record(step: int, rho: np.ndarray, m: int, s_diag: np.ndarray) -> Trajector
         v_smc=1.0 - smc_pop,
         dicke_populations=pops,
         smc_population=smc_pop,
+        psd_debt=psd_debt,
     )
 
 
@@ -196,19 +215,42 @@ def run(
     family : which channel family to apply
     schedule : cyclic or random neighborhood selection
     steps : number of channel applications (>= 1)
-    validate : re-check density-matrix invariants after every step; disable
+    validate : keep every state within the density-matrix invariants of
+        validate_density_matrix, and raise ValueError when one fails; disable
         for benchmark runs
     early_stop : stop once the family's Lyapunov gap stays below
         EARLY_STOP_THRESHOLD for 2*m consecutive steps
 
+    Validation does not factorize every state.  It checks the trace each
+    step, and carries a certified positivity debt: a bound, in trace norm, on
+    the distance from the computed state to a positive semidefinite matrix.
+    If rho_t = sigma_t + e_t with sigma_t >= 0, the computed next state is
+    E(sigma_t) + E(e_t) + r_{t+1}, where E is the exactly CPTP pair map,
+    E(sigma_t) >= 0, ||E(e_t)||_1 <= ||e_t||_1 because CPTP maps contract the
+    trace norm (Perez-Garcia, Wolf, Petz and Ruskai, J. Math. Phys. 47,
+    083506, 2006), and ||r_{t+1}||_1 <= apply_error_bound(channel) *
+    ||rho_t||_F, with ||rho_t||_F^2 the purity already recorded.  So each
+    step adds that product to the debt.  certify_density_matrix (a Cholesky
+    "anchor") checks the input, any state whose debt would pass
+    PSD_DEBT_BUDGET, and the last executed state, and resets the debt.  A
+    state with debt at most PSD_DEBT_BUDGET = PSD_ATOL/2 has every eigenvalue
+    of its Hermitian part >= -debt and a Hermiticity residual <= debt, so it
+    passes validate_density_matrix's rule without being factorized.  The
+    certificate assumes the kernel computes the stored superoperator's
+    product; a fault in it surfaces at the next anchor, at the latest at the
+    last step.  A failure inside the run names the family, the step, its
+    edge, and the steps since the last passing anchor.
+
     Returns
     -------
-    RunResult with one TrajectoryRecord per executed step and the final state.
+    RunResult with one TrajectoryRecord per executed step (psd_debt holds the
+    debt after the step, None without validation) and the final state.
     """
     if steps < 1:
         raise ValueError(f"need steps >= 1, got {steps}")
     m = topology.m
-    rho = validate_density_matrix(rho0) if validate else np.asarray(rho0, dtype=complex)
+    rho = np.asarray(rho0, dtype=complex)
+    debt = certify_density_matrix(rho) if validate else None
     if rho.shape != (1 << m, 1 << m):
         raise ValueError(f"state shape {rho.shape} does not match m={m}")
     if not is_connected(topology):
@@ -225,17 +267,35 @@ def run(
     if early_stop and family.kind == "gossip":
         gossip_target = gossip_fixed_point(rho, m)
 
-    s_diag = 2.0 * (m - excitation_counts(m))
+    s_diag = global_observable_diagonal(m)
+    if validate:
+        step_bounds = [apply_error_bound(ch) for ch in channels]
+        norm_f = math.sqrt(purity(rho))
     records: list[TrajectoryRecord] = []
-    quiet = 0
+    quiet = anchored = 0
     for t, idx in enumerate(picks, 1):
-        rho = apply_channel(channels[idx], rho, validate=validate)
-        records.append(_record(t, rho, m, s_diag))
+        rho = apply_channel(channels[idx], rho, validate=False)
+        stop = False
         if early_stop:
             gap = lyapunov_gap(family, rho, m, gossip_target=gossip_target)
             quiet = quiet + 1 if gap < EARLY_STOP_THRESHOLD else 0
-            if quiet >= 2 * m:
-                break
+            stop = quiet >= 2 * m
+        if validate:
+            debt += step_bounds[idx] * norm_f
+            try:
+                check_trace(rho)
+                if debt > PSD_DEBT_BUDGET or stop or t == steps:
+                    debt = certify_density_matrix(rho)
+                    anchored = t
+            except ValueError as exc:
+                raise ValueError(
+                    f"{family.kind} run, step {t} on edge {topology.neighborhoods[idx]}: {exc} "
+                    f"(last passing anchor at step {anchored}; the fault lies in steps {anchored + 1}..{t})"
+                ) from exc
+        records.append(_record(t, rho, m, s_diag, debt))
+        norm_f = math.sqrt(records[-1].purity)
+        if stop:
+            break
     return RunResult(records=records, final_state=rho)
 
 

@@ -23,6 +23,7 @@ __all__ = [
     "excitation_indices",
     "schmidt_reconstruct",
     "global_observable",
+    "global_observable_diagonal",
     "smc_projector",
     "is_ssc",
     "is_smc",
@@ -98,6 +99,11 @@ def schmidt_reconstruct(m: int, k: int, m_a: int) -> np.ndarray:
     return v / np.sqrt(comb(m, k))
 
 
+def global_observable_diagonal(m: int) -> np.ndarray:
+    """Diagonal of m*I + sum_i sigma_z^(i): 2*(m - k) on a k-excitation basis string."""
+    return 2.0 * (m - excitation_counts(m))
+
+
 def global_observable(m: int) -> np.ndarray:
     """Diagonal conserved observable m*I + sum_i sigma_z^(i).
 
@@ -105,7 +111,7 @@ def global_observable(m: int) -> np.ndarray:
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    return np.diag(2.0 * (m - excitation_counts(m))).astype(complex)
+    return np.diag(global_observable_diagonal(m)).astype(complex)
 
 
 def smc_projector(m: int) -> np.ndarray:
@@ -228,8 +234,7 @@ def consensus_report(rho: np.ndarray, m: int) -> ConsensusReport:
     rho = np.asarray(rho, dtype=complex)
     _, ssc_residual = is_ssc(rho, m)
     _, population, pairwise = is_smc(rho, m)
-    s_diag = 2.0 * (m - excitation_counts(m))
-    s_exp = float(np.dot(s_diag, np.real(np.diag(rho))))
+    s_exp = float(np.dot(global_observable_diagonal(m), np.real(np.diag(rho))))
     return ConsensusReport(
         ssc_residual=ssc_residual,
         smc_population=population,

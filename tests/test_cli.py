@@ -289,3 +289,26 @@ def test_run_rejects_non_integer_fields(tmp_path, capsys, edges, schedule, key):
     assert main(["run", "--config", str(cfg_path), "--output-dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and key in err
+
+
+@pytest.mark.parametrize(
+    "topology, family, key",
+    [
+        ("edges: [[1, 2], [2, 3]]\n  probabilities: ['0.5', '0.5']", "{kind: ssc}", "topology.probabilities[0]"),
+        ("edges: [[1, 2], [2, 3]]\n  probabilities: [0.5, true]", "{kind: ssc}", "topology.probabilities[1]"),
+        ("edges: [[1, 2], [2, 3]]\n  probabilities: 0.5", "{kind: ssc}", "topology.probabilities"),
+        ("edges: [[1, 2], [2, 3]]", "{kind: gossip, alpha: '0.3'}", "family.alpha"),
+        ("edges: [[1, 2], [2, 3]]", "{kind: gossip, alpha: true}", "family.alpha"),
+    ],
+    ids=["probability-str", "probability-bool", "probabilities-scalar", "alpha-str", "alpha-bool"],
+)
+def test_run_rejects_non_numeric_fields(tmp_path, capsys, topology, family, key):
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(
+        f"topology:\n  m: 3\n  {topology}\nfamily: {family}\nschedule: {{mode: random, seed: 3}}\n"
+        "steps: 5\ninitial_state: {kind: random, seed: 3}\n"
+    )
+    assert main(["run", "--config", str(cfg_path), "--output-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and f"'{key}'" in err
+    assert not list(tmp_path.glob("*.csv"))

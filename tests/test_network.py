@@ -43,6 +43,28 @@ def test_topology_validation():
         NetworkTopology(m=3, neighborhoods=((1, 2), (2, 3)), probabilities=(1.2, -0.2))
 
 
+@pytest.mark.parametrize(
+    "neighborhoods, probabilities",
+    [
+        (((1, 2.7), (2, 3)), None),
+        (((1, "2"), (2, 3)), None),
+        (((1, True), (2, 3)), None),
+        (((1, 2), (2, 3)), ("0.5", "0.5")),
+        (((1, 2), (2, 3)), (True, 0.0)),
+    ],
+    ids=["site-float", "site-str", "site-bool", "probability-str", "probability-bool"],
+)
+def test_topology_rejects_values_it_would_have_to_coerce(neighborhoods, probabilities):
+    with pytest.raises(ValueError, match="integer|numbers"):
+        NetworkTopology(m=3, neighborhoods=neighborhoods, probabilities=probabilities)
+
+
+def test_topology_accepts_numpy_scalars():
+    top = NetworkTopology(m=3, neighborhoods=((np.int64(1), np.int32(2)), (2, 3)), probabilities=(np.float64(0.25), 0.75))
+    assert top.neighborhoods == ((1, 2), (2, 3)) and all(type(s) is int for pair in top.neighborhoods for s in pair)
+    assert top.probabilities == (0.25, 0.75)
+
+
 def test_topology_normalizes_pair_order():
     top = NetworkTopology(m=3, neighborhoods=((3, 1),))
     assert top.neighborhoods == ((1, 3),)

@@ -33,6 +33,21 @@ def test_schedule_validation():
     assert Schedule.random(seed=3).seed == 3
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: Schedule.cyclic((0.7, 1)), lambda: Schedule.cyclic(("0", 1)), lambda: Schedule.cyclic((True, 0)), lambda: Schedule.random(seed=2.5)],
+    ids=["order-float", "order-str", "order-bool", "seed-float"],
+)
+def test_schedule_rejects_values_it_would_have_to_coerce(make):
+    with pytest.raises(ValueError, match="not an integer"):
+        make()
+
+
+def test_schedule_accepts_numpy_integers():
+    assert Schedule.cyclic((np.int64(1), np.int32(0))).order == (1, 0)
+    assert Schedule.random(seed=np.uint32(5)).seed == 5
+
+
 def test_random_density_deterministic():
     a = random_density(42, 8)
     b = random_density(42, 8)
