@@ -15,6 +15,10 @@ state:
   whenever its positivity debt passes the budget (null on a checkout
   without that function);
 * purity_s: one `purity` of the output;
+* verify_s: one in-process `qconsensus verify --family <family> --m <m>`
+  (the operator certificates of `dynamics.certify_family` on the m-site
+  complete graph), for m <= 6 only; null on a checkout without
+  `certify_family`, whose `verify` samples random states instead;
 * convergence_s: one end-to-end `simulator.convergence_probability` on the
   m-site path graph from the seeded state (CONVERGENCE_TRIALS trials of
   CONVERGENCE_HORIZON steps, gamma CONVERGENCE_GAMMA), for m <= 8 only.
@@ -37,6 +41,8 @@ on one thread unless OPENBLAS_NUM_THREADS is set.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import resource
@@ -85,9 +91,21 @@ def record_fn(m: int):
     return lambda rho: ([float(np.real(d.conj() @ rho @ d)) for d in dickes], purity(rho))
 
 
+def verify_fn(kind: str, m: int):
+    """One in-process `verify` of the family at size m, its output discarded; raises unless it passes."""
+    from qconsensus.cli import main
+
+    def verify():
+        with contextlib.redirect_stdout(io.StringIO()):
+            if main(["verify", "--family", kind, "--m", str(m)]) != 0:
+                raise RuntimeError(f"verify --family {kind} --m {m} did not pass")
+
+    return verify
+
+
 def layer_times(m: int) -> dict:
     """Median per-family layer times at size m, plus record and fixed-point times."""
-    from qconsensus import qcore
+    from qconsensus import dynamics, qcore
     from qconsensus.dynamics import ChannelFamily, neighborhood_channel
     from qconsensus.network import NetworkTopology
     from qconsensus.qcore import apply_channel, purity, validate_density_matrix
@@ -111,6 +129,9 @@ def layer_times(m: int) -> dict:
             "purity_s": median_time(lambda: purity(after), repeats),
             "repeats": repeats,
         }
+        if m <= 6:
+            certified = hasattr(dynamics, "certify_family")
+            out[kind]["verify_s"] = median_time(verify_fn(kind, m), repeats) if certified else None
         if m <= 8:
             path = NetworkTopology(m=m, neighborhoods=tuple((i, i + 1) for i in range(1, m)))
             args = (rho, path, family, CONVERGENCE_GAMMA, CONVERGENCE_HORIZON, CONVERGENCE_TRIALS, 0)

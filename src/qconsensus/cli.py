@@ -9,25 +9,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import combinations
 from numbers import Real
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .dynamics import ChannelFamily, build_channels
+from .dynamics import ChannelFamily, certify_family
 from .network import NetworkTopology
-from .qcore import (
-    apply_channel,
-    bitstring_ket,
-    check_cptp,
-    dual_apply,
-    expectation,
-    ket_to_density,
-    load_matrix,
-    purity,
-)
+from .qcore import bitstring_ket, ket_to_density, load_matrix, purity
 from .simulator import (
     Schedule,
     convergence_probability,
@@ -36,7 +26,7 @@ from .simulator import (
     run,
     write_trajectory_csv,
 )
-from .symmetry import consensus_report, dicke_ket, dicke_populations, global_observable, v_smc, v_total
+from .symmetry import consensus_report, dicke_ket
 
 CONFIG_SCHEMA = """\
 # qconsensus experiment configuration (YAML)
@@ -86,7 +76,6 @@ convergence:                 # `convergence` subcommand only
 """
 
 DEFAULT_SEED = 0
-VERIFY_STATES = 50
 
 
 class ConfigError(Exception):
@@ -375,77 +364,18 @@ def _wilson_interval(p: float, n: int, z: float = 1.959963984540054) -> tuple[fl
     return max(0.0, (center - half) / (1 + z * z / n)), min(1.0, (center + half) / (1 + z * z / n))
 
 
-def _verify_checks(family: ChannelFamily, m: int, seed: int):
-    """Yield (name, passed, detail) rows for the verify table."""
-    topology = NetworkTopology(m=m, neighborhoods=tuple(combinations(range(1, m + 1), 2)))
-    channels = build_channels(family, topology)
-    rng = np.random.default_rng(seed)
-    s = global_observable(m)
-    lyapunov = v_total if family.kind == "ssc" else v_smc
-
-    resid = max(check_cptp(ch).completeness_residual for ch in channels)
-    yield (f"cptp completeness ({len(channels)} channels)", resid <= 1e-10, f"max residual {resid:.2e}")
-
-    if family.kind == "gossip":
-        unital = all(check_cptp(ch).is_unital for ch in channels)
-        yield ("unitality", unital, "all channels unital" if unital else "non-unital channel found")
-    else:
-        dual_unital = max(
-            float(np.max(np.abs(dual_apply(ch, np.eye(ch.dim)) - np.eye(ch.dim))))
-            for ch in channels
-        )
-        yield ("dual unitality (identity fixed)", dual_unital <= 1e-10, f"max residual {dual_unital:.2e}")
-
-    dual_resid = 0.0
-    for _ in range(VERIFY_STATES):
-        ch = channels[rng.integers(len(channels))]
-        x = rng.standard_normal((ch.dim, ch.dim)) + 1j * rng.standard_normal((ch.dim, ch.dim))
-        x = x + x.conj().T
-        rho = random_density(int(rng.integers(2**31)), ch.dim)
-        lhs = expectation(apply_channel(ch, rho), x)
-        rhs = expectation(rho, dual_apply(ch, x), hermiticity_atol=1e-8)
-        dual_resid = max(dual_resid, abs(lhs - rhs))
-    yield (f"duality residual ({VERIFY_STATES} random X,rho)", dual_resid <= 1e-10, f"max {dual_resid:.2e}")
-
-    conserve = 0.0
-    monotone_violation = 0.0
-    purity_violation = 0.0
-    pop_drift = 0.0
-    for i in range(VERIFY_STATES):
-        ch = channels[i % len(channels)]
-        rho = random_density(seed + 1000 + i, 1 << m)
-        out = apply_channel(ch, rho)
-        conserve = max(conserve, abs(expectation(out, s) - expectation(rho, s)))
-        if family.kind == "gossip":
-            purity_violation = max(purity_violation, purity(out) - purity(rho))
-            drift = np.abs(dicke_populations(out, m) - dicke_populations(rho, m))
-            pop_drift = max(pop_drift, float(np.max(drift)))
-        else:
-            monotone_violation = max(monotone_violation, lyapunov(out, m) - lyapunov(rho, m))
-    yield (f"s-expectation conservation ({VERIFY_STATES} states)", conserve <= 1e-9, f"max drift {conserve:.2e}")
-    if family.kind == "gossip":
-        yield ("purity non-increasing", purity_violation <= 1e-12, f"max increase {purity_violation:.2e}")
-        yield ("dicke populations invariant", pop_drift <= 1e-10, f"max drift {pop_drift:.2e}")
-    else:
-        yield (f"{lyapunov.__name__} non-increasing", monotone_violation <= 1e-12,
-               f"max increase {monotone_violation:.2e}")
-
-
 def cmd_verify(args) -> int:
     if args.m < 2 or args.m > 6:
         raise ConfigError(f"verify supports 2 <= m <= 6, got {args.m}")
     try:
-        family = (
-            ChannelFamily.gossip(args.alpha) if args.family == "gossip" else ChannelFamily(args.family)
-        )
+        family = ChannelFamily(args.family, args.alpha if args.family == "gossip" else None)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    print(f"verify: family={family.kind} m={args.m} (complete graph)")
-    failed = False
-    for name, ok, detail in _verify_checks(family, args.m, args.seed or 0):
-        status = "PASS" if ok else "FAIL"
-        print(f"{name:<45} {status}  ({detail})")
-        failed = failed or not ok
+    print(f"verify: family={family.kind} m={args.m} (complete graph, every row holds for all states)")
+    rows = certify_family(family, args.m)
+    for name, ok, detail in rows:
+        print(f"{name:<45} {'PASS' if ok else 'FAIL'}  ({detail})")
+    failed = not all(ok for _, ok, _ in rows)
     print(f"overall: {'FAIL' if failed else 'PASS'}")
     return 2 if failed else 0
 
@@ -472,11 +402,10 @@ def _build_parser() -> argparse.ArgumentParser:
     add_config_command("prepare", cmd_prepare, "measurement-assisted Dicke state preparation")
     add_config_command("convergence", cmd_convergence, "Monte-Carlo convergence probability")
 
-    v = sub.add_parser("verify", help="self-test one channel family on a complete graph")
+    v = sub.add_parser("verify", help="certify a channel family's invariants for all states on a complete graph")
     v.add_argument("--family", required=True, choices=["gossip", "ssc", "smc"])
     v.add_argument("--m", required=True, type=int, help="number of qubits (2..6)")
     v.add_argument("--alpha", type=float, default=0.5, help="gossip mixing weight")
-    v.add_argument("--seed", type=int, default=0)
     v.set_defaults(func=cmd_verify)
     return parser
 

@@ -17,12 +17,14 @@ network untouched:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import combinations
 
 import numpy as np
 
-from .network import NetworkTopology
-from .qcore import KrausChannel
-from .symmetry import excitation_counts, smc_projector
+from .network import NetworkTopology, _as_index, _as_real
+from .qcore import KrausChannel, apply_channel, check_cptp, dual_apply, ket_to_density
+from .symmetry import dicke_ket, excitation_counts, global_observable, smc_projector
 
 __all__ = [
     "ChannelFamily",
@@ -35,6 +37,7 @@ __all__ = [
     "smc_channel",
     "neighborhood_channel",
     "build_channels",
+    "certify_family",
 ]
 
 FAMILY_KINDS = ("gossip", "ssc", "smc")
@@ -55,7 +58,7 @@ class ChannelFamily:
         if self.kind not in FAMILY_KINDS:
             raise ValueError(f"unknown family {self.kind!r}, expected one of {FAMILY_KINDS}")
         if self.kind == "gossip":
-            alpha = 0.5 if self.alpha is None else float(self.alpha)
+            alpha = 0.5 if self.alpha is None else _as_real(self.alpha, "gossip mixing weight")
             if not 0.0 < alpha < 1.0:
                 raise ValueError(f"gossip mixing weight must lie in (0, 1), got {alpha}")
             object.__setattr__(self, "alpha", alpha)
@@ -91,11 +94,9 @@ class FeedbackDecomposition:
 
 def gossip_channel(pair, m: int, alpha: float) -> KrausChannel:
     """Pair gossip map rho -> (1-alpha) rho + alpha U_swap rho U_swap^dag."""
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"gossip mixing weight must lie in (0, 1), got {alpha}")
+    alpha = ChannelFamily.gossip(alpha).alpha
     ops = (np.sqrt(1.0 - alpha) * np.eye(4, dtype=complex), np.sqrt(alpha) * _SWAP2)
-    j, k = sorted(int(s) for s in pair)
+    j, k = sorted(_as_index(s, "site") for s in pair)
     return KrausChannel(ops, label=f"gossip({j},{k}|alpha={alpha:g})", sites=(j, k), m=m)
 
 
@@ -115,7 +116,7 @@ def ssc_pair_channel() -> KrausChannel:
 
 def ssc_channel(pair, m: int) -> KrausChannel:
     """The ssc pair map on sites (j, k) of an m-qubit network."""
-    j, k = sorted(int(s) for s in pair)
+    j, k = sorted(_as_index(s, "site") for s in pair)
     return KrausChannel(_SSC_KRAUS, label=f"ssc({j},{k})", sites=(j, k), m=m)
 
 
@@ -165,7 +166,7 @@ for _op in _SSC_KRAUS + _SMC_KRAUS:
 
 def smc_channel(pair, m: int) -> KrausChannel:
     """The two-site smc map on sites (j, k) of an m-qubit network."""
-    j, k = sorted(int(s) for s in pair)
+    j, k = sorted(_as_index(s, "site") for s in pair)
     return KrausChannel(_SMC_KRAUS, label=f"smc({j},{k})", sites=(j, k), m=m)
 
 
@@ -181,3 +182,67 @@ def neighborhood_channel(family: ChannelFamily, pair, m: int) -> KrausChannel:
 def build_channels(family: ChannelFamily, topology: NetworkTopology) -> tuple[KrausChannel, ...]:
     """One channel per neighborhood, in topology order."""
     return tuple(neighborhood_channel(family, pair, topology.m) for pair in topology.neighborhoods)
+
+
+# Certificate tolerances: entrywise on E(X) - X for an identity E(X) = X,
+# and on lambda_min(E^dag(P) - P) for an inequality E^dag(P) >= P.
+IDENTITY_ATOL, MONOTONE_ATOL = 1e-10, 1e-12
+
+
+def _identity(name: str, residual: float) -> tuple[str, bool, str]:
+    return name, residual <= IDENTITY_ATOL, f"max residual {residual:.2e}"
+
+
+def _drift(channels, xs, apply=dual_apply) -> float:
+    """Largest entry of |apply(channel, X) - X| over the channels and the operators X."""
+    return max(float(np.max(np.abs(apply(ch, x) - x))) for ch in channels for x in xs)
+
+
+def _certify_duality(kraus_ops) -> tuple[str, bool, str]:
+    """apply_channel of a 4x4 Kraus set is the dense map, and dual_apply its adjoint.
+
+    On the 16 pair matrix units E_j, apply_channel must give sum_k A_k E_j A_k^dag,
+    and dual_apply's 16x16 matrix must be the conjugate transpose of apply_channel's.
+    """
+    pair = KrausChannel(kraus_ops)
+    units = np.eye(16, dtype=complex).reshape(16, 4, 4)
+    # Row j is the image of E_j, so each array is the transpose of its map's matrix.
+    forward = np.array([apply_channel(pair, u, validate=False).ravel() for u in units])
+    dense = np.array([sum(a @ u @ a.conj().T for a in pair.kraus_ops).ravel() for u in units])
+    dual = np.array([dual_apply(pair, u).ravel() for u in units])
+    return _identity("duality Tr[X E(rho)] = Tr[E^dag(X) rho]",
+                     float(max(np.max(np.abs(forward - dense)), np.max(np.abs(dual - forward.T.conj())))))
+
+
+def _certify_monotonicity(channels, projector: np.ndarray, lyapunov: str) -> tuple[str, bool, str]:
+    """E^dag(P) >= P for every channel, i.e. V(rho) = c - Tr(P rho) never rises for any state."""
+    margin = min(float(np.linalg.eigvalsh(dual_apply(ch, projector) - projector)[0]) for ch in channels)
+    return f"{lyapunov} non-increasing: E^dag(P) >= P", margin >= -MONOTONE_ATOL, f"min eigenvalue {margin:.2e}"
+
+
+def certify_family(family: ChannelFamily, m: int) -> list[tuple[str, bool, str]]:
+    """(name, passed, detail) rows, each an operator statement that holds for every state.
+
+    Checked on every pair channel of the m-site complete graph: completeness,
+    unitality (E(I) = I for gossip, so purity cannot rise; E^dag(I) = I
+    otherwise), duality of the shared 4x4 Kraus set and E^dag(S) = S; then
+    E^dag(P_D) >= P_D for ssc (P_D projects onto the Dicke span),
+    E^dag(P_smc) >= P_smc for smc, and E^dag(|D_k><D_k|) = |D_k><D_k| for gossip.
+    """
+    channels = build_channels(family, NetworkTopology(m=m, neighborhoods=tuple(combinations(range(1, m + 1), 2))))
+    dicke = [ket_to_density(dicke_ket(m, k)) for k in range(m + 1)]
+    eye = [np.eye(1 << m)]
+    gossip = family.kind == "gossip"
+    rows = [
+        _identity(f"cptp completeness ({len(channels)} channels)",
+                  max(check_cptp(ch).completeness_residual for ch in channels)),
+        _identity("unitality E(I) = I (purity non-increasing)" if gossip else "dual unitality E^dag(I) = I",
+                  _drift(channels, eye, partial(apply_channel, validate=False) if gossip else dual_apply)),
+        _certify_duality(channels[0].kraus_ops),
+        _identity("conservation E^dag(S) = S", _drift(channels, [global_observable(m)])),
+    ]
+    if gossip:
+        return rows + [_identity("dicke populations invariant", _drift(channels, dicke))]
+    if family.kind == "ssc":
+        return rows + [_certify_monotonicity(channels, sum(dicke), "v_total")]
+    return rows + [_certify_monotonicity(channels, smc_projector(m), "v_smc")]

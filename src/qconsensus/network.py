@@ -26,6 +26,13 @@ def _as_index(value, what: str) -> int:
     return int(value)
 
 
+def _as_real(value, what: str) -> float:
+    """A real number (Python or numpy) as float; bools, strings and complex numbers raise ValueError."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, Real):
+        raise ValueError(f"{what} {value!r} is not a real number (bools, strings and complex numbers are rejected)")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class NetworkTopology:
     """Qubit count, pairwise interaction neighborhoods, optional edge weights.
@@ -41,8 +48,10 @@ class NetworkTopology:
     probabilities: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.m < 2:
-            raise ValueError(f"need at least 2 sites, got m={self.m}")
+        m = _as_index(self.m, "qubit count m")
+        if m < 2:
+            raise ValueError(f"need at least 2 sites, got m={m}")
+        object.__setattr__(self, "m", m)
         pairs = []
         for pair in self.neighborhoods:
             j, k = (_as_index(s, "site") for s in pair)
@@ -56,9 +65,7 @@ class NetworkTopology:
             raise ValueError("duplicate neighborhoods")
         object.__setattr__(self, "neighborhoods", tuple(pairs))
         if self.probabilities is not None:
-            if any(isinstance(p, (bool, np.bool_)) or not isinstance(p, Real) for p in self.probabilities):
-                raise ValueError(f"selection probabilities {self.probabilities!r} must be numbers")
-            q = tuple(float(p) for p in self.probabilities)
+            q = tuple(_as_real(p, "selection probability") for p in self.probabilities)
             if len(q) != len(pairs):
                 raise ValueError(
                     f"{len(q)} probabilities for {len(pairs)} neighborhoods"
@@ -123,8 +130,7 @@ def embed_neighborhood(op: np.ndarray, pair, m: int) -> np.ndarray:
     op = np.asarray(op, dtype=complex)
     if op.shape != (4, 4):
         raise ValueError(f"expected a 4x4 neighborhood operator, got shape {op.shape}")
-    j, k = (int(s) for s in pair)
-    j, k = min(j, k), max(j, k)
+    j, k = sorted(_as_index(s, "site") for s in pair)
     if j == k or j < 1 or k > m:
         raise ValueError(f"invalid pair {pair} for m={m}")
     rest = iter(range(3, m + 1))

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .network import _as_index
+
 __all__ = [
     "I2",
     "SIGMA_X",
@@ -207,11 +209,11 @@ def purity(rho: np.ndarray) -> float:
     return float(np.vdot(rho, rho).real)
 
 
-def expectation(rho: np.ndarray, x: np.ndarray, *, hermiticity_atol: float = HERMITICITY_ATOL) -> float:
+def expectation(rho: np.ndarray, x: np.ndarray) -> float:
     """Tr(rho X) for a Hermitian observable X; rejects non-Hermitian input."""
     x = np.asarray(x, dtype=complex)
     resid = hermiticity_residual(x)
-    if resid > hermiticity_atol:
+    if resid > HERMITICITY_ATOL:
         raise ValueError(f"observable is not Hermitian: residual {resid:.3e}")
     val = complex(np.einsum("ij,ji->", np.asarray(rho, dtype=complex), x))
     if abs(val.imag) > 1e-9:
@@ -274,8 +276,8 @@ class KrausChannel:
         n = local_dim.bit_length() - 1
         if n < 1 or local_dim != 1 << n:
             raise ValueError(f"Kraus operator dimension {local_dim} is not a power of 2 >= 2")
-        sites = tuple(range(1, n + 1)) if self.sites is None else tuple(int(s) for s in self.sites)
-        m = n if self.m is None else int(self.m)
+        sites = tuple(range(1, n + 1)) if self.sites is None else tuple(_as_index(s, "site") for s in self.sites)
+        m = n if self.m is None else _as_index(self.m, "qubit count m")
         if len(sites) != n or len(set(sites)) != n or not all(1 <= s <= m for s in sites):
             raise ValueError(f"sites {sites} do not fit {n}-qubit operators on {m} qubits")
         resid = completeness_residual(ops)

@@ -459,13 +459,9 @@ def prepare_dicke(
             outcomes[site] = outcome
             log.append(MeasurementEvent(kind="site", site=site, value=outcome))
         ones = sum(1 for v in outcomes.values() if v == -1)
-        if ones < target_k:
-            flip_sites = [s for s in range(1, m + 1) if outcomes[s] == +1][: target_k - ones]
-        elif ones > target_k:
-            flip_sites = [s for s in range(1, m + 1) if outcomes[s] == -1][: ones - target_k]
-        else:
-            flip_sites = []
-        for site in flip_sites:
+        # Too few excitations: flip sites that read +1; too many: sites that read -1.
+        flip_from = +1 if ones < target_k else -1
+        for site in [s for s in range(1, m + 1) if outcomes[s] == flip_from][: abs(target_k - ones)]:
             state = apply_flip(state, site, m)
             log.append(MeasurementEvent(kind="flip", site=site, value=0))
 

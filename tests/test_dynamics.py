@@ -43,6 +43,27 @@ def test_channel_family_validation():
     assert ChannelFamily("gossip").alpha == 0.5
 
 
+@pytest.mark.parametrize("alpha", ["0.3", True, 0.3 + 0j], ids=["str", "bool", "complex"])
+def test_gossip_rejects_a_weight_that_is_not_a_real_number(alpha):
+    with pytest.raises(ValueError, match="not a real number"):
+        ChannelFamily.gossip(alpha)
+    with pytest.raises(ValueError, match="not a real number"):
+        gossip_channel((1, 2), 2, alpha)
+    assert ChannelFamily.gossip(np.float64(0.3)).alpha == 0.3
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda pair: gossip_channel(pair, 3, 0.5), lambda pair: ssc_channel(pair, 3), lambda pair: smc_channel(pair, 3)],
+    ids=["gossip", "ssc", "smc"],
+)
+@pytest.mark.parametrize("pair", [(1.5, 2), ("1", 2), (True, 2)], ids=["float", "str", "bool"])
+def test_pair_channels_reject_sites_they_would_have_to_coerce(make, pair):
+    with pytest.raises(ValueError, match="not an integer"):
+        make(pair)
+    assert make((np.int64(2), np.int32(1))).sites == (1, 2)
+
+
 def test_gossip_alpha_half_reaches_pair_average_in_one_step():
     ch = gossip_channel((1, 2), 2, 0.5)
     out = apply_channel(ch, ket_to_density(bitstring_ket("01")))

@@ -63,6 +63,18 @@ def test_topology_accepts_numpy_scalars():
     top = NetworkTopology(m=3, neighborhoods=((np.int64(1), np.int32(2)), (2, 3)), probabilities=(np.float64(0.25), 0.75))
     assert top.neighborhoods == ((1, 2), (2, 3)) and all(type(s) is int for pair in top.neighborhoods for s in pair)
     assert top.probabilities == (0.25, 0.75)
+    assert type(NetworkTopology(m=np.int64(3), neighborhoods=((1, 2),)).m) is int
+
+
+@pytest.mark.parametrize("m", [3.0, "3", True], ids=["float", "str", "bool"])
+def test_topology_rejects_a_qubit_count_it_would_have_to_coerce(m):
+    with pytest.raises(ValueError, match="not an integer"):
+        NetworkTopology(m=m, neighborhoods=((1, 2),))
+
+
+def test_embed_neighborhood_rejects_non_integer_sites():
+    with pytest.raises(ValueError, match="not an integer"):
+        embed_neighborhood(SWAP, (1, 2.5), 3)
 
 
 def test_topology_normalizes_pair_order():

@@ -129,6 +129,21 @@ def test_validate_density_matrix_psd_floor(min_eig, accepted):
             validate_density_matrix(rho)
 
 
+@pytest.mark.parametrize(
+    "sites, m",
+    [((1.5, 2), 3), (("1", 2), 3), ((True, 2), 3), ((1, 2), 3.0)],
+    ids=["site-float", "site-str", "site-bool", "m-float"],
+)
+def test_kraus_channel_rejects_sites_and_m_it_would_have_to_coerce(sites, m):
+    with pytest.raises(ValueError, match="not an integer"):
+        KrausChannel((np.eye(4, dtype=complex),), sites=sites, m=m)
+
+
+def test_kraus_channel_accepts_numpy_integers():
+    ch = KrausChannel((np.eye(4, dtype=complex),), sites=(np.int64(3), np.int32(1)), m=np.int64(3))
+    assert ch.sites == (3, 1) and ch.m == 3 and all(type(s) is int for s in (*ch.sites, ch.m))
+
+
 def test_apply_channel_identity():
     ch = KrausChannel((np.eye(4, dtype=complex),), label="id")
     rho = random_density(3, 4)
