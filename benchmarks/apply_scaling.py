@@ -9,11 +9,9 @@ state:
 
 * build_s: constructing the channel (`neighborhood_channel`);
 * apply_s: one `apply_channel(..., validate=False)`;
-* validate_s: one `validate_density_matrix` of the output;
-* anchor_s: one `qcore.certify_density_matrix` of the output, the Cholesky
+* validate_s: one `validate_density_matrix` of the output, the Cholesky
   "anchor" that a validated `run` makes on its input, at its last step and
-  whenever its positivity debt passes the budget (null on a checkout
-  without that function);
+  whenever its positivity debt passes the budget;
 * purity_s: one `purity` of the output;
 * verify_s: one in-process `qconsensus verify --family <family> --m <m>`
   (the operator certificates of `dynamics.certify_family` on the m-site
@@ -105,7 +103,7 @@ def verify_fn(kind: str, m: int):
 
 def layer_times(m: int) -> dict:
     """Median per-family layer times at size m, plus record and fixed-point times."""
-    from qconsensus import dynamics, qcore
+    from qconsensus import dynamics
     from qconsensus.dynamics import ChannelFamily, neighborhood_channel
     from qconsensus.network import NetworkTopology
     from qconsensus.qcore import apply_channel, purity, validate_density_matrix
@@ -115,7 +113,6 @@ def layer_times(m: int) -> dict:
     pair = (m // 2, m // 2 + 1)
     rho = random_density(m, 1 << m) if m <= 10 else low_rank_density(m, 1 << m)
     repeats = repeats_for(m)
-    certify = getattr(qcore, "certify_density_matrix", None)
     out = {}
     for kind in FAMILIES:
         family = ChannelFamily(kind)
@@ -125,7 +122,6 @@ def layer_times(m: int) -> dict:
             "build_s": median_time(lambda: neighborhood_channel(family, pair, m), repeats),
             "apply_s": median_time(lambda: apply_channel(channel, rho, validate=False), repeats),
             "validate_s": median_time(lambda: validate_density_matrix(after), repeats),
-            "anchor_s": None if certify is None else median_time(lambda: certify(after), repeats),
             "purity_s": median_time(lambda: purity(after), repeats),
             "repeats": repeats,
         }

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from numbers import Integral, Real
 
-import networkx as nx
 import numpy as np
 
 __all__ = [
@@ -78,16 +77,23 @@ class NetworkTopology:
 
 
 def is_connected(topology: NetworkTopology) -> bool:
-    """True iff the interaction graph is connected and covers every site."""
-    g = nx.Graph()
-    g.add_nodes_from(range(1, topology.m + 1))
-    g.add_edges_from(topology.neighborhoods)
-    return nx.is_connected(g)
+    """True iff the interaction graph is connected and covers every site.
+
+    Grows the set of sites reached from site 1: each sweep adds both sites of
+    every pair that touches it, until a sweep adds nothing.
+    """
+    reached, size = {1}, 0
+    while size < len(reached):
+        size = len(reached)
+        for pair in topology.neighborhoods:
+            if reached.intersection(pair):
+                reached.update(pair)
+    return len(reached) == topology.m
 
 
 def _site_axes(pi, m: int) -> list[int]:
     """0-based qubit-tensor axes of the validated site permutation pi."""
-    images = [int(p) for p in pi]
+    images = [_as_index(p, "permutation image") for p in pi]
     if len(images) != m or sorted(images) != list(range(1, m + 1)):
         raise ValueError(f"{pi!r} is not a permutation of 1..{m}")
     return [p - 1 for p in images]

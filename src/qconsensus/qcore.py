@@ -29,7 +29,6 @@ __all__ = [
     "pure_state_fidelity",
     "hermiticity_residual",
     "check_trace",
-    "certify_density_matrix",
     "validate_density_matrix",
     "KrausChannel",
     "CPTPReport",
@@ -104,8 +103,13 @@ def check_trace(rho: np.ndarray) -> None:
         raise ValueError(f"trace {tr:.12g} deviates from 1 by more than {TRACE_ATOL:.1e}")
 
 
-def certify_density_matrix(rho: np.ndarray) -> float:
-    """Check rho as validate_density_matrix does, and return its positivity debt.
+def validate_density_matrix(rho: np.ndarray) -> float:
+    """Check Hermiticity, unit trace and positivity, and return the positivity debt.
+
+    Raises ValueError naming the first violated property; rho is never
+    modified.  The tolerances are HERMITICITY_ATOL, TRACE_ATOL and PSD_ATOL;
+    the PSD check has an eigenvalue floor of -PSD_ATOL because channel
+    arithmetic accumulates rounding.
 
     The debt is a certified upper bound, in trace norm, on the distance from
     rho to a positive semidefinite matrix.  With H the Hermitian part of rho,
@@ -124,8 +128,7 @@ def certify_density_matrix(rho: np.ndarray) -> float:
     of them.  When the factorization fails, eigvalsh decides as it always
     has (reject below -PSD_ATOL), and the debt is the negative eigenvalue
     mass plus the same error terms (the symmetric eigensolver is backward
-    stable, with an error of the same order).  Raises ValueError naming the
-    first violated property; rho is never modified.
+    stable, with an error of the same order).
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -156,21 +159,6 @@ def certify_density_matrix(rho: np.ndarray) -> float:
     return float(d * shift + floor)
 
 
-def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
-    """Check Hermiticity, unit trace, and positive semidefiniteness.
-
-    Returns the input as a complex array; raises ValueError naming the first
-    violated property.  The tolerances are HERMITICITY_ATOL, TRACE_ATOL and
-    PSD_ATOL.  The PSD check uses an eigenvalue floor of -PSD_ATOL because
-    channel arithmetic accumulates rounding.  It runs certify_density_matrix:
-    a Cholesky factorization of the slightly shifted Hermitian part, and
-    eigvalsh only when that factorization fails.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    certify_density_matrix(rho)
-    return rho
-
-
 def partial_trace(rho: np.ndarray, m: int, keep) -> np.ndarray:
     """Reduced state on the kept sites of an m-qubit density matrix.
 
@@ -182,7 +170,7 @@ def partial_trace(rho: np.ndarray, m: int, keep) -> np.ndarray:
         the reduction preserves the original relative site order)
     """
     rho = np.asarray(rho, dtype=complex)
-    keep_set = set(int(s) for s in keep)
+    keep_set = set(_as_index(s, "keep site") for s in keep)
     if not keep_set:
         raise ValueError("keep set must be nonempty")
     if any(s < 1 or s > m for s in keep_set):

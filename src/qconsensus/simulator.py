@@ -22,7 +22,6 @@ from .qcore import (
     PSD_ATOL,
     apply_channel,
     apply_error_bound,
-    certify_density_matrix,
     check_trace,
     purity,
     validate_density_matrix,
@@ -88,6 +87,8 @@ class Schedule:
                 object.__setattr__(self, "order", order)
         elif self.seed is None:
             raise ValueError("random schedules need a seed")
+        else:
+            object.__setattr__(self, "seed", _as_index(self.seed, "schedule seed"))
 
     @classmethod
     def cyclic(cls, order=None) -> "Schedule":
@@ -95,7 +96,7 @@ class Schedule:
 
     @classmethod
     def random(cls, seed: int = 0) -> "Schedule":
-        return cls(mode="random", seed=_as_index(seed, "schedule seed"))
+        return cls(mode="random", seed=seed)
 
 
 @dataclass(frozen=True)
@@ -141,7 +142,8 @@ def random_density(seed: int, dim: int) -> np.ndarray:
     q = q * phases.conj()
     rho = (q * spectrum) @ q.conj().T
     rho = 0.5 * (rho + rho.conj().T)
-    return validate_density_matrix(rho)
+    validate_density_matrix(rho)
+    return rho
 
 
 def _random_picks(topology: NetworkTopology, seed: int, steps: int) -> np.ndarray:
@@ -230,7 +232,7 @@ def run(
     trace norm (Perez-Garcia, Wolf, Petz and Ruskai, J. Math. Phys. 47,
     083506, 2006), and ||r_{t+1}||_1 <= apply_error_bound(channel) *
     ||rho_t||_F, with ||rho_t||_F^2 the purity already recorded.  So each
-    step adds that product to the debt.  certify_density_matrix (a Cholesky
+    step adds that product to the debt.  validate_density_matrix (a Cholesky
     "anchor") checks the input, any state whose debt would pass
     PSD_DEBT_BUDGET, and the last executed state, and resets the debt.  A
     state with debt at most PSD_DEBT_BUDGET = PSD_ATOL/2 has every eigenvalue
@@ -250,7 +252,7 @@ def run(
         raise ValueError(f"need steps >= 1, got {steps}")
     m = topology.m
     rho = np.asarray(rho0, dtype=complex)
-    debt = certify_density_matrix(rho) if validate else None
+    debt = validate_density_matrix(rho) if validate else None
     if rho.shape != (1 << m, 1 << m):
         raise ValueError(f"state shape {rho.shape} does not match m={m}")
     if not is_connected(topology):
@@ -285,7 +287,7 @@ def run(
             try:
                 check_trace(rho)
                 if debt > PSD_DEBT_BUDGET or stop or t == steps:
-                    debt = certify_density_matrix(rho)
+                    debt = validate_density_matrix(rho)
                     anchored = t
             except ValueError as exc:
                 raise ValueError(
@@ -327,7 +329,8 @@ def convergence_probability(
     if not is_connected(topology):
         raise ValueError("convergence estimation requires a connected interaction graph")
     m = topology.m
-    rho0 = validate_density_matrix(rho0)
+    rho0 = np.asarray(rho0, dtype=complex)
+    validate_density_matrix(rho0)
     gossip_target = gossip_fixed_point(rho0, m) if family.kind == "gossip" else None
     channels = build_channels(family, topology)
     hits = 0
@@ -443,7 +446,8 @@ def prepare_dicke(
         raise ValueError(f"target excitation {target_k} out of range 0..{m}")
     if not is_connected(topology):
         raise ValueError("preparation requires a connected interaction graph")
-    state = validate_density_matrix(rho0)
+    state = np.asarray(rho0, dtype=complex)
+    validate_density_matrix(state)
     log: list[MeasurementEvent] = []
 
     needs_initialization = True

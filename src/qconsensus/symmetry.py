@@ -196,10 +196,7 @@ def gossip_fixed_point(rho0: np.ndarray, m: int) -> np.ndarray:
     The cosets (i n) S_{n-1}, i = 1..n, partition S_n, so for n = 2..m the
     running average is replaced by its mean over the site swaps (i n), with
     i = n the identity: m(m+1)/2 - 1 swaps on the qubit-tensor view in all.
-    Guarded to m <= 8.
     """
-    if m > 8:
-        raise ValueError(f"exhaustive permutation averaging is limited to m <= 8, got {m}")
     rho0 = np.asarray(rho0, dtype=complex)
     t = rho0.reshape((2,) * (2 * m)).copy()
     for n in range(2, m + 1):

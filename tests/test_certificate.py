@@ -17,7 +17,6 @@ from qconsensus.qcore import (
     apply_channel,
     apply_error_bound,
     bitstring_ket,
-    certify_density_matrix,
     hermiticity_residual,
     ket,
     ket_to_density,
@@ -70,7 +69,7 @@ def test_debt_bounds_negativity_and_hermiticity_at_every_step(m, kind, start, se
     with pytest.MonkeyPatch.context() as mp:
         applied, result = steps_and_records(mp, rho0, ring(m), FAMILIES[kind], Schedule.random(seed=seed), steps)
     assert len(applied) == len(result.records) == steps
-    debt, norm_f = certify_density_matrix(rho0), np.sqrt(purity(rho0))
+    debt, norm_f = validate_density_matrix(rho0), np.sqrt(purity(rho0))
     for t, ((channel, rho), record) in enumerate(zip(applied, result.records), 1):
         assert 0.0 < record.psd_debt <= PSD_DEBT_BUDGET
         assert np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0] >= -record.psd_debt
@@ -200,7 +199,7 @@ def test_rejected_states_keep_their_messages(rho, message):
 def test_state_inside_the_floor_is_accepted_and_its_debt_covers_it():
     rho = spectrum_state(-0.5 * PSD_ATOL)
     validate_density_matrix(rho)
-    assert certify_density_matrix(rho) >= 0.5 * PSD_ATOL
+    assert validate_density_matrix(rho) >= 0.5 * PSD_ATOL
     result = run(rho, ring(3), ChannelFamily.ssc(), Schedule.cyclic(), 3)
     assert len(result.records) == 3
 
@@ -208,13 +207,13 @@ def test_state_inside_the_floor_is_accepted_and_its_debt_covers_it():
 @pytest.mark.parametrize("kind", sorted(FAMILIES))
 def test_forced_anchors_leave_the_trajectory_bit_identical(monkeypatch, kind):
     calls = []
-
-    def counting_certify(rho):
-        calls.append(rho)
-        return certify_density_matrix(rho)
-
-    monkeypatch.setattr(simulator, "certify_density_matrix", counting_certify)
     args = (random_density(9, 32), ring(5), FAMILIES[kind], Schedule.random(seed=2), 12)
+
+    def counting_validate(rho):
+        calls.append(rho)
+        return validate_density_matrix(rho)
+
+    monkeypatch.setattr(simulator, "validate_density_matrix", counting_validate)
     plain = run(*args)
     assert len(calls) == 2  # the input and the last step
     monkeypatch.setattr(simulator, "PSD_DEBT_BUDGET", 0.0)

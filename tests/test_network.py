@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+from itertools import combinations
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +32,26 @@ SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=
 )
 def test_is_connected(m, pairs, expected):
     assert is_connected(NetworkTopology(m=m, neighborhoods=pairs)) is expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), m=st.integers(2, 8))
+def test_is_connected_agrees_with_reachability_by_matrix_powers(data, m):
+    pairs = data.draw(st.lists(st.sampled_from(list(combinations(range(1, m + 1), 2))), unique=True))
+    adjacency = np.zeros((m, m))
+    for j, k in pairs:
+        adjacency[j - 1, k - 1] = adjacency[k - 1, j - 1] = 1
+    reachable = (np.linalg.matrix_power(np.eye(m) + adjacency, m - 1) > 0)[0].all()
+    assert is_connected(NetworkTopology(m=m, neighborhoods=tuple(pairs))) is bool(reachable)
+
+
+def test_importing_the_package_does_not_load_networkx():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = "import sys, qconsensus, qconsensus.cli; print('networkx' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip() == "False"
 
 
 def test_topology_validation():
@@ -183,3 +209,10 @@ def test_permute_sites_rejects_bad_input():
         permute_sites(np.eye(8), (1, 1, 3), 3)
     with pytest.raises(ValueError, match="shape"):
         permute_sites(np.eye(4), (2, 1, 3), 3)
+
+
+@pytest.mark.parametrize("pi", [(2.0, 1.0), (True, 2), ("2", "1")], ids=["float", "bool", "str"])
+def test_permute_sites_rejects_images_it_would_have_to_coerce(pi):
+    with pytest.raises(ValueError, match="not an integer"):
+        permute_sites(np.eye(4), pi, 2)
+    assert np.array_equal(permute_sites(SWAP, (np.int64(2), np.int32(1)), 2), SWAP)

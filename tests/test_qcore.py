@@ -78,6 +78,13 @@ def test_partial_trace_rejects_empty_keep():
         partial_trace(np.eye(4) / 4, 2, set())
 
 
+@pytest.mark.parametrize("keep", [[1.7], [True], ["1"]], ids=["float", "bool", "str"])
+def test_partial_trace_rejects_sites_it_would_have_to_coerce(keep):
+    with pytest.raises(ValueError, match="not an integer"):
+        partial_trace(np.eye(4) / 4, 2, keep)
+    assert np.allclose(partial_trace(np.eye(4) / 4, 2, [np.int64(1)]), np.eye(2) / 2)
+
+
 @pytest.mark.parametrize(
     "rho, expected",
     [

@@ -48,6 +48,14 @@ def test_schedule_accepts_numpy_integers():
     assert Schedule.random(seed=np.uint32(5)).seed == 5
 
 
+@pytest.mark.parametrize("seed", [2.5, True, "3"], ids=["float", "bool", "str"])
+def test_schedule_checks_its_seed_when_built_directly(seed):
+    with pytest.raises(ValueError, match="schedule seed .* is not an integer"):
+        Schedule(mode="random", seed=seed)
+    built = Schedule(mode="random", seed=np.int64(7))
+    assert built.seed == 7 and type(built.seed) is int
+
+
 def test_random_density_deterministic():
     a = random_density(42, 8)
     b = random_density(42, 8)
@@ -149,6 +157,16 @@ def test_run_early_stop_truncates():
     rho0 = ket_to_density(dicke_ket(3, 1))
     result = run(rho0, PATH3, ChannelFamily.ssc(), Schedule.cyclic(), 500, early_stop=True)
     assert len(result.records) == 2 * 3  # already converged; stops after 2m steps
+
+
+def test_gossip_early_stop_runs_beyond_eight_sites():
+    m = 9
+    path = NetworkTopology(m=m, neighborhoods=tuple((i, i + 1) for i in range(1, m)))
+    rho0 = ket_to_density(dicke_ket(m, 4))
+    gossip = ChannelFamily.gossip(0.5)
+    assert len(run(rho0, path, gossip, Schedule.cyclic(), 3, early_stop=True).records) == 3
+    # A Dicke state is its own permutation average: the run stops after 2m steps.
+    assert len(run(rho0, path, gossip, Schedule.cyclic(), 100, early_stop=True).records) == 2 * m
 
 
 def test_cyclic_and_random_schedules_share_limit():

@@ -220,9 +220,12 @@ def test_gossip_fixed_point_properties():
         assert purity(star) <= purity(rho) + 1e-12
 
 
-def test_gossip_fixed_point_guards_large_m():
-    with pytest.raises(ValueError):
-        gossip_fixed_point(np.eye(512) / 512, 9)
+def test_gossip_fixed_point_beyond_eight_sites():
+    assert np.array_equal(gossip_fixed_point(np.eye(512) / 512, 9), np.eye(512) / 512)
+    # One excitation averages to the uniform mixture of the 9 one-excitation strings.
+    star = gossip_fixed_point(ket_to_density(bitstring_ket("100000000")), 9)
+    expected = np.diag((excitation_counts(9) == 1) / 9)
+    assert np.max(np.abs(star - expected)) < 1e-15
 
 
 def test_per_site_expectations():
