@@ -3,7 +3,9 @@
     python3 benchmarks/apply_scaling.py [--src DIR] [--sizes 4 6 8 10 12] [--run-m 12] [--out FILE]
 
 Imports `qconsensus` from `--src` (default: `src/` of this checkout), so the
-same script measures any checkout of the package.  For every m in `--sizes`
+same script measures any checkout of the package that has
+`symmetry.dicke_populations`, `dynamics.certify_family` and
+`TrajectoryRecord.psd_debt`.  For every m in `--sizes`
 and every family it times, on the pair (m//2, m//2 + 1) and a seeded dense
 state:
 
@@ -15,8 +17,7 @@ state:
 * purity_s: one `purity` of the output;
 * verify_s: one in-process `qconsensus verify --family <family> --m <m>`
   (the operator certificates of `dynamics.certify_family` on the m-site
-  complete graph), for m <= 6 only; null on a checkout without
-  `certify_family`, whose `verify` samples random states instead;
+  complete graph), for m <= 6 only;
 * convergence_s: one end-to-end `simulator.convergence_probability` on the
   m-site path graph from the seeded state (CONVERGENCE_TRIALS trials of
   CONVERGENCE_HORIZON steps, gamma CONVERGENCE_GAMMA), for m <= 8 only.
@@ -24,8 +25,7 @@ state:
 Each per-m row also holds two family-independent times on the seeded state:
 
 * record_s: the Dicke populations and purity that every trajectory step
-  records (`symmetry.dicke_populations` plus `purity`; on a checkout without
-  `dicke_populations`, the m+1 `dicke_ket` quadratic forms it replaces);
+  records (`symmetry.dicke_populations` plus `purity`);
 * fixed_point_s: one `symmetry.gossip_fixed_point`, for m <= 8 only.
 
 Each is the median of several repeats.  With `--run-m M` it also runs
@@ -78,17 +78,6 @@ def low_rank_density(seed: int, dim: int, rank: int = 16) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def record_fn(m: int):
-    """The per-step Dicke-population and purity record of this checkout."""
-    from qconsensus import symmetry
-    from qconsensus.qcore import purity
-
-    if hasattr(symmetry, "dicke_populations"):
-        return lambda rho: (symmetry.dicke_populations(rho, m), purity(rho))
-    dickes = [symmetry.dicke_ket(m, k) for k in range(m + 1)]
-    return lambda rho: ([float(np.real(d.conj() @ rho @ d)) for d in dickes], purity(rho))
-
-
 def verify_fn(kind: str, m: int):
     """One in-process `verify` of the family at size m, its output discarded; raises unless it passes."""
     from qconsensus.cli import main
@@ -103,12 +92,11 @@ def verify_fn(kind: str, m: int):
 
 def layer_times(m: int) -> dict:
     """Median per-family layer times at size m, plus record and fixed-point times."""
-    from qconsensus import dynamics
     from qconsensus.dynamics import ChannelFamily, neighborhood_channel
     from qconsensus.network import NetworkTopology
     from qconsensus.qcore import apply_channel, purity, validate_density_matrix
     from qconsensus.simulator import convergence_probability, random_density
-    from qconsensus.symmetry import gossip_fixed_point
+    from qconsensus.symmetry import dicke_populations, gossip_fixed_point
 
     pair = (m // 2, m // 2 + 1)
     rho = random_density(m, 1 << m) if m <= 10 else low_rank_density(m, 1 << m)
@@ -126,15 +114,13 @@ def layer_times(m: int) -> dict:
             "repeats": repeats,
         }
         if m <= 6:
-            certified = hasattr(dynamics, "certify_family")
-            out[kind]["verify_s"] = median_time(verify_fn(kind, m), repeats) if certified else None
+            out[kind]["verify_s"] = median_time(verify_fn(kind, m), repeats)
         if m <= 8:
             path = NetworkTopology(m=m, neighborhoods=tuple((i, i + 1) for i in range(1, m)))
             args = (rho, path, family, CONVERGENCE_GAMMA, CONVERGENCE_HORIZON, CONVERGENCE_TRIALS, 0)
             out[kind]["convergence_s"] = median_time(lambda: convergence_probability(*args), min(repeats, 5))
         del channel, after
-    record = record_fn(m)
-    out["record_s"] = median_time(lambda: record(rho), repeats)
+    out["record_s"] = median_time(lambda: (dicke_populations(rho, m), purity(rho)), repeats)
     if m <= 8:
         out["fixed_point_s"] = median_time(lambda: gossip_fixed_point(rho, m), repeats)
     return out
@@ -164,7 +150,7 @@ def sweep_run(m: int) -> dict:
         "final_trace": float(np.trace(result.final_state).real),
         "s_drift": abs(last.s_expectation - result.records[0].s_expectation),
         "final_v_total": last.v_total,
-        "final_psd_debt": getattr(last, "psd_debt", None),
+        "final_psd_debt": last.psd_debt,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
 

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from numbers import Real
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from .dynamics import ChannelFamily, certify_family
-from .network import NetworkTopology
+from .network import NetworkTopology, _as_count, _as_index, _as_real
 from .qcore import bitstring_ket, ket_to_density, load_matrix, purity
 from .simulator import (
     Schedule,
@@ -107,17 +106,19 @@ def _section(cfg: dict, key: str, required: bool = True) -> dict:
 
 
 def _as_int(value, name: str) -> int:
-    """The value itself if it is a YAML integer; bools, floats and strings are config errors."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"'{name}' must be an integer, got {value!r}")
-    return value
+    """network._as_index for a YAML value; its ValueError becomes a config error naming the key."""
+    try:
+        return _as_index(value, f"'{name}'")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _as_number(value, name: str) -> float:
-    """The value as a float if it is a YAML number; bools and strings are config errors."""
-    if isinstance(value, bool) or not isinstance(value, Real):
-        raise ConfigError(f"'{name}' must be a number, got {value!r}")
-    return float(value)
+    """network._as_real for a YAML value; its ValueError becomes a config error naming the key."""
+    try:
+        return _as_real(value, f"'{name}'")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _int_value(section: dict, key: str, context: str, *, required: bool = True, default=None):
@@ -127,6 +128,14 @@ def _int_value(section: dict, key: str, context: str, *, required: bool = True, 
             raise ConfigError(f"missing key '{context}.{key}'")
         return None
     return _as_int(value, f"{context}.{key}")
+
+
+def _count_value(section: dict, key: str, context: str, m: int) -> int:
+    """An excitation count in 0..m; network._as_count's ValueError becomes a config error naming the key."""
+    try:
+        return _as_count(_int_value(section, key, context), m)
+    except ValueError as exc:
+        raise ConfigError(f"'{context}.{key}': {exc}") from None
 
 
 def _build_topology(cfg: dict) -> NetworkTopology:
@@ -153,16 +162,9 @@ def _build_topology(cfg: dict) -> NetworkTopology:
 
 def _build_family(cfg: dict) -> ChannelFamily:
     section = _section(cfg, "family")
-    kind = section.get("kind")
-    if kind not in ("gossip", "ssc", "smc"):
-        raise ConfigError(f"'family.kind' must be gossip, ssc, or smc, got {kind!r}")
     alpha = section.get("alpha")
     try:
-        if kind == "gossip":
-            return ChannelFamily.gossip(0.5 if alpha is None else _as_number(alpha, "family.alpha"))
-        if alpha is not None:
-            raise ConfigError(f"'family.alpha' is only valid for gossip")
-        return ChannelFamily(kind)
+        return ChannelFamily(section.get("kind"), None if alpha is None else _as_number(alpha, "family.alpha"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"'family': {exc}") from exc
 
@@ -196,10 +198,7 @@ def _build_initial_state(cfg: dict, m: int, master_seed: int) -> np.ndarray:
             raise ConfigError(f"'initial_state.string' must be an m={m} bit string, got {bits!r}")
         return ket_to_density(bitstring_ket(bits))
     if kind == "dicke":
-        k = _int_value(section, "k", "initial_state")
-        if not 0 <= k <= m:
-            raise ConfigError(f"'initial_state.k' must lie in 0..{m}, got {k}")
-        return ket_to_density(dicke_ket(m, k))
+        return ket_to_density(dicke_ket(m, _count_value(section, "k", "initial_state", m)))
     if kind == "random":
         seed = _int_value(section, "seed", "initial_state", required=False)
         return random_density(master_seed if seed is None else seed, 1 << m)
@@ -310,9 +309,7 @@ def cmd_prepare(args) -> int:
     seed = _master_seed(cfg, args.seed)
     topology = _build_topology(cfg)
     section = _section(cfg, "prepare")
-    target_k = _int_value(section, "target_k", "prepare")
-    if not 0 <= target_k <= topology.m:
-        raise ConfigError(f"'prepare.target_k' must lie in 0..{topology.m}, got {target_k}")
+    target_k = _count_value(section, "target_k", "prepare", topology.m)
     use_s = section.get("use_s_measurement", False)
     if not isinstance(use_s, bool):
         raise ConfigError(f"'prepare.use_s_measurement' must be true or false, got {use_s!r}")
@@ -341,9 +338,9 @@ def cmd_convergence(args) -> int:
     topology = _build_topology(cfg)
     family = _build_family(cfg)
     section = _section(cfg, "convergence")
-    gamma = section.get("gamma")
-    if not isinstance(gamma, (int, float)) or isinstance(gamma, bool) or gamma <= 0:
-        raise ConfigError(f"'convergence.gamma' must be a positive number, got {gamma!r}")
+    gamma = _as_number(section.get("gamma"), "convergence.gamma")
+    if gamma <= 0:
+        raise ConfigError(f"'convergence.gamma' must be positive, got {gamma!r}")
     horizon = _int_value(section, "horizon", "convergence")
     trials = _int_value(section, "trials", "convergence")
     if horizon < 0:
@@ -351,7 +348,7 @@ def cmd_convergence(args) -> int:
     if trials < 1:
         raise ConfigError(f"'convergence.trials' must be >= 1, got {trials}")
     rho0 = _build_initial_state(cfg, topology.m, seed)
-    estimate = convergence_probability(rho0, topology, family, float(gamma), horizon, trials, seed)
+    estimate = convergence_probability(rho0, topology, family, gamma, horizon, trials, seed)
     low, high = _wilson_interval(estimate, trials)
     print(f"P[lyapunov gap < {gamma:g} at horizon {horizon}] ~= {estimate:.4f} "
           f"(95% Wilson interval [{low:.4f}, {high:.4f}]; {trials} trials, family {family.kind})")
@@ -368,7 +365,7 @@ def cmd_verify(args) -> int:
     if args.m < 2 or args.m > 6:
         raise ConfigError(f"verify supports 2 <= m <= 6, got {args.m}")
     try:
-        family = ChannelFamily(args.family, args.alpha if args.family == "gossip" else None)
+        family = ChannelFamily(args.family, args.alpha)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     print(f"verify: family={family.kind} m={args.m} (complete graph, every row holds for all states)")
@@ -393,19 +390,21 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the YAML experiment config")
         p.add_argument("--seed", type=int, default=None, help="override the config master seed")
         p.add_argument("--output-dir", default=None, help="directory for output files")
-        p.add_argument("--early-stop", action="store_true", help="stop once the Lyapunov gap stays tiny")
         p.set_defaults(func=func)
         return p
 
-    add_config_command("run", cmd_run, "run one trajectory and write its CSV")
-    add_config_command("compare", cmd_compare, "run gossip, ssc, and smc from the same start")
+    for p in (
+        add_config_command("run", cmd_run, "run one trajectory and write its CSV"),
+        add_config_command("compare", cmd_compare, "run gossip, ssc, and smc from the same start"),
+    ):
+        p.add_argument("--early-stop", action="store_true", help="stop once the Lyapunov gap stays tiny")
     add_config_command("prepare", cmd_prepare, "measurement-assisted Dicke state preparation")
     add_config_command("convergence", cmd_convergence, "Monte-Carlo convergence probability")
 
     v = sub.add_parser("verify", help="certify a channel family's invariants for all states on a complete graph")
     v.add_argument("--family", required=True, choices=["gossip", "ssc", "smc"])
     v.add_argument("--m", required=True, type=int, help="number of qubits (2..6)")
-    v.add_argument("--alpha", type=float, default=0.5, help="gossip mixing weight")
+    v.add_argument("--alpha", type=float, default=None, help="gossip mixing weight (default 0.5)")
     v.set_defaults(func=cmd_verify)
     return parser
 

@@ -22,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .network import NetworkTopology, _as_index, _as_real
+from .network import NetworkTopology, _as_real, _as_site
 from .qcore import KrausChannel, apply_channel, check_cptp, dual_apply, ket_to_density
 from .symmetry import dicke_ket, excitation_counts, global_observable, smc_projector
 
@@ -96,7 +96,7 @@ def gossip_channel(pair, m: int, alpha: float) -> KrausChannel:
     """Pair gossip map rho -> (1-alpha) rho + alpha U_swap rho U_swap^dag."""
     alpha = ChannelFamily.gossip(alpha).alpha
     ops = (np.sqrt(1.0 - alpha) * np.eye(4, dtype=complex), np.sqrt(alpha) * _SWAP2)
-    j, k = sorted(_as_index(s, "site") for s in pair)
+    j, k = sorted(_as_site(s, m) for s in pair)
     return KrausChannel(ops, label=f"gossip({j},{k}|alpha={alpha:g})", sites=(j, k), m=m)
 
 
@@ -116,7 +116,7 @@ def ssc_pair_channel() -> KrausChannel:
 
 def ssc_channel(pair, m: int) -> KrausChannel:
     """The ssc pair map on sites (j, k) of an m-qubit network."""
-    j, k = sorted(_as_index(s, "site") for s in pair)
+    j, k = sorted(_as_site(s, m) for s in pair)
     return KrausChannel(_SSC_KRAUS, label=f"ssc({j},{k})", sites=(j, k), m=m)
 
 
@@ -166,7 +166,7 @@ for _op in _SSC_KRAUS + _SMC_KRAUS:
 
 def smc_channel(pair, m: int) -> KrausChannel:
     """The two-site smc map on sites (j, k) of an m-qubit network."""
-    j, k = sorted(_as_index(s, "site") for s in pair)
+    j, k = sorted(_as_site(s, m) for s in pair)
     return KrausChannel(_SMC_KRAUS, label=f"smc({j},{k})", sites=(j, k), m=m)
 
 

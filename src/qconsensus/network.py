@@ -32,6 +32,30 @@ def _as_real(value, what: str) -> float:
     return float(value)
 
 
+def _as_site(value, m: int, what: str = "site") -> int:
+    """A 1-based site of an m-qubit register as int; non-integers and sites outside 1..m raise ValueError."""
+    site = _as_index(value, what)
+    if not 1 <= site <= m:
+        raise ValueError(f"{what} {site} out of range 1..{m}")
+    return site
+
+
+def _as_state(x, m: int) -> np.ndarray:
+    """x as a complex array (no copy for complex input); raises ValueError unless its shape is (2^m, 2^m)."""
+    x = np.asarray(x, dtype=complex)
+    if x.shape != (1 << m, 1 << m):
+        raise ValueError(f"shape {x.shape} does not match m={m}, expected {(1 << m, 1 << m)}")
+    return x
+
+
+def _as_count(k, m: int) -> int:
+    """An excitation count of an m-qubit register as int; non-integers and counts outside 0..m raise ValueError."""
+    k = _as_index(k, "excitation count")
+    if not 0 <= k <= m:
+        raise ValueError(f"excitation count {k} out of range 0..{m}")
+    return k
+
+
 @dataclass(frozen=True)
 class NetworkTopology:
     """Qubit count, pairwise interaction neighborhoods, optional edge weights.
@@ -53,12 +77,9 @@ class NetworkTopology:
         object.__setattr__(self, "m", m)
         pairs = []
         for pair in self.neighborhoods:
-            j, k = (_as_index(s, "site") for s in pair)
+            j, k = sorted(_as_site(s, m, f"neighborhood {pair} site") for s in pair)
             if j == k:
                 raise ValueError(f"neighborhood {pair} repeats a site")
-            j, k = min(j, k), max(j, k)
-            if j < 1 or k > self.m:
-                raise ValueError(f"neighborhood {pair} out of range 1..{self.m}")
             pairs.append((j, k))
         if len(set(pairs)) != len(pairs):
             raise ValueError("duplicate neighborhoods")
@@ -106,11 +127,8 @@ def permute_sites(x: np.ndarray, pi, m: int) -> np.ndarray:
     the row side and on the column side, is site pi(i) of the input.
     """
     axes = _site_axes(pi, m)
-    x = np.asarray(x, dtype=complex)
-    dim = 1 << m
-    if x.shape != (dim, dim):
-        raise ValueError(f"operator shape {x.shape} does not match m={m}")
-    return x.reshape((2,) * (2 * m)).transpose(axes + [m + a for a in axes]).reshape(dim, dim)
+    x = _as_state(x, m)
+    return x.reshape((2,) * (2 * m)).transpose(axes + [m + a for a in axes]).reshape(x.shape)
 
 
 def permutation_unitary(pi, m: int) -> np.ndarray:
@@ -136,9 +154,9 @@ def embed_neighborhood(op: np.ndarray, pair, m: int) -> np.ndarray:
     op = np.asarray(op, dtype=complex)
     if op.shape != (4, 4):
         raise ValueError(f"expected a 4x4 neighborhood operator, got shape {op.shape}")
-    j, k = sorted(_as_index(s, "site") for s in pair)
-    if j == k or j < 1 or k > m:
-        raise ValueError(f"invalid pair {pair} for m={m}")
+    j, k = sorted(_as_site(s, m) for s in pair)
+    if j == k:
+        raise ValueError(f"pair {pair} repeats a site")
     rest = iter(range(3, m + 1))
     images = [1 if s == j else 2 if s == k else next(rest) for s in range(1, m + 1)]
     return permute_sites(np.kron(op, np.eye(1 << (m - 2), dtype=complex)), images, m)

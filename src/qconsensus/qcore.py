@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import _as_index
+from .network import _as_index, _as_site, _as_state
 
 __all__ = [
     "I2",
@@ -169,16 +169,10 @@ def partial_trace(rho: np.ndarray, m: int, keep) -> np.ndarray:
     keep : iterable of 1-based site indices to retain (order-insensitive;
         the reduction preserves the original relative site order)
     """
-    rho = np.asarray(rho, dtype=complex)
-    keep_set = set(_as_index(s, "keep site") for s in keep)
+    keep_set = {_as_site(s, m, "keep site") for s in keep}
     if not keep_set:
         raise ValueError("keep set must be nonempty")
-    if any(s < 1 or s > m for s in keep_set):
-        raise ValueError(f"keep sites {sorted(keep_set)} out of range 1..{m}")
-    dim = 1 << m
-    if rho.shape != (dim, dim):
-        raise ValueError(f"expected shape {(dim, dim)}, got {rho.shape}")
-    t = rho.reshape((2,) * (2 * m))
+    t = _as_state(rho, m).reshape((2,) * (2 * m))
     row_labels = list(range(m))
     col_labels = [i if (i + 1) not in keep_set else m + i for i in range(m)]
     kept = [i for i in range(m) if (i + 1) in keep_set]
@@ -301,9 +295,7 @@ def check_cptp(channel_or_ops) -> CPTPReport:
 
 def _apply_local(channel: KrausChannel, superop: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Contract a local superoperator into the (2,)*2m view of x; a real one acts on the float64 view."""
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (channel.dim, channel.dim):
-        raise ValueError(f"operator shape {x.shape} does not match channel dim {channel.dim}")
+    x = _as_state(x, channel.m)
     tensor_shape = (2,) * (2 * channel.m)
     front = np.ascontiguousarray(x.reshape(tensor_shape).transpose(channel.perm).reshape(len(superop), -1))
     if superop.dtype == complex:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ChannelFamily, build_channels
-from .network import NetworkTopology, _as_index, is_connected
+from .network import NetworkTopology, _as_count, _as_index, _as_site, _as_state, is_connected
 from .qcore import (
     PSD_ATOL,
     apply_channel,
@@ -95,7 +95,7 @@ class Schedule:
         return cls(mode="cyclic", order=None if order is None else tuple(order))
 
     @classmethod
-    def random(cls, seed: int = 0) -> "Schedule":
+    def random(cls, seed: int) -> "Schedule":
         return cls(mode="random", seed=seed)
 
 
@@ -251,10 +251,8 @@ def run(
     if steps < 1:
         raise ValueError(f"need steps >= 1, got {steps}")
     m = topology.m
-    rho = np.asarray(rho0, dtype=complex)
+    rho = _as_state(rho0, m)
     debt = validate_density_matrix(rho) if validate else None
-    if rho.shape != (1 << m, 1 << m):
-        raise ValueError(f"state shape {rho.shape} does not match m={m}")
     if not is_connected(topology):
         warnings.warn("interaction graph is not connected; convergence is not guaranteed")
     channels = build_channels(family, topology)
@@ -329,7 +327,7 @@ def convergence_probability(
     if not is_connected(topology):
         raise ValueError("convergence estimation requires a connected interaction graph")
     m = topology.m
-    rho0 = np.asarray(rho0, dtype=complex)
+    rho0 = _as_state(rho0, m)
     validate_density_matrix(rho0)
     gossip_target = gossip_fixed_point(rho0, m) if family.kind == "gossip" else None
     channels = build_channels(family, topology)
@@ -349,9 +347,8 @@ def measure_local_z(rho: np.ndarray, site: int, m: int, rng: np.random.Generator
     sampled by the Born rule.  Outcomes with probability below 1e-12 are
     never sampled.
     """
-    if not 1 <= site <= m:
-        raise ValueError(f"site {site} out of range 1..{m}")
-    rho = np.asarray(rho, dtype=complex)
+    site = _as_site(site, m)
+    rho = _as_state(rho, m)
     mask0 = 1.0 - site_bits(m)[:, site - 1]
     p_plus = float(np.clip(np.dot(mask0, np.real(np.diag(rho))), 0.0, 1.0))
     if p_plus < MEASUREMENT_PROBABILITY_FLOOR:
@@ -373,10 +370,7 @@ def measure_global_observable(rho: np.ndarray, m: int, rng: np.random.Generator)
     probability and returns (k, renormalized projected state).  Subspaces
     with probability below 1e-12 are never sampled.
     """
-    rho = np.asarray(rho, dtype=complex)
-    dim = 1 << m
-    if rho.shape != (dim, dim):
-        raise ValueError(f"state shape {rho.shape} does not match m={m}")
+    rho = _as_state(rho, m)
     diag = np.real(np.diag(rho))
     counts = excitation_counts(m)
     probs = np.bincount(counts, weights=diag, minlength=m + 1)
@@ -390,9 +384,8 @@ def measure_global_observable(rho: np.ndarray, m: int, rng: np.random.Generator)
 
 def apply_flip(rho: np.ndarray, site: int, m: int) -> np.ndarray:
     """Conjugate by sigma_x on one site (exact basis relabeling)."""
-    if not 1 <= site <= m:
-        raise ValueError(f"site {site} out of range 1..{m}")
-    rho = np.asarray(rho, dtype=complex)
+    site = _as_site(site, m)
+    rho = _as_state(rho, m)
     idx = np.arange(1 << m) ^ (1 << (m - site))
     return rho[np.ix_(idx, idx)]
 
@@ -442,11 +435,10 @@ def prepare_dicke(
     the target Dicke ket, and the measurement log.
     """
     m = topology.m
-    if not 0 <= target_k <= m:
-        raise ValueError(f"target excitation {target_k} out of range 0..{m}")
+    target_k = _as_count(target_k, m)
     if not is_connected(topology):
         raise ValueError("preparation requires a connected interaction graph")
-    state = np.asarray(rho0, dtype=complex)
+    state = _as_state(rho0, m)
     validate_density_matrix(state)
     log: list[MeasurementEvent] = []
 

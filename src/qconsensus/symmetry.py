@@ -14,7 +14,7 @@ from math import comb
 
 import numpy as np
 
-from .network import permute_sites
+from .network import _as_count, _as_state, permute_sites
 
 __all__ = [
     "dicke_ket",
@@ -53,8 +53,7 @@ def excitation_counts(m: int) -> np.ndarray:
 
 def excitation_indices(m: int, k: int) -> list[int]:
     """Ascending basis indices of the m-qubit strings with exactly k ones."""
-    if not 0 <= k <= m:
-        raise ValueError(f"excitation count {k} out of range 0..{m}")
+    k = _as_count(k, m)
     return np.flatnonzero(excitation_counts(m) == k).tolist()
 
 
@@ -69,8 +68,7 @@ def _dicke_matrix(m: int) -> np.ndarray:
 
 def dicke_ket(m: int, k: int) -> np.ndarray:
     """Equal superposition of all C(m, k) basis strings with k excitations."""
-    if not 0 <= k <= m:
-        raise ValueError(f"excitation count {k} out of range 0..{m}")
+    k = _as_count(k, m)
     return _dicke_matrix(m)[:, k].astype(complex)
 
 
@@ -84,8 +82,7 @@ def schmidt_reconstruct(m: int, k: int, m_a: int) -> np.ndarray:
 
     with terms skipped when ka > m_a or kb > m_b.
     """
-    if not 0 <= k <= m:
-        raise ValueError(f"excitation count {k} out of range 0..{m}")
+    k = _as_count(k, m)
     if not 1 <= m_a < m:
         raise ValueError(f"split size {m_a} must satisfy 1 <= m_a < m={m}")
     m_b = m - m_a
@@ -186,7 +183,7 @@ def v_total(rho: np.ndarray, m: int) -> float:
 
 def v_smc(rho: np.ndarray, m: int) -> float:
     """Lyapunov value 1 - Tr(P_SMC rho)."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = _as_state(rho, m)
     return 1.0 - float(rho[0, 0].real + rho[-1, -1].real)
 
 
@@ -197,7 +194,7 @@ def gossip_fixed_point(rho0: np.ndarray, m: int) -> np.ndarray:
     running average is replaced by its mean over the site swaps (i n), with
     i = n the identity: m(m+1)/2 - 1 swaps on the qubit-tensor view in all.
     """
-    rho0 = np.asarray(rho0, dtype=complex)
+    rho0 = _as_state(rho0, m)
     t = rho0.reshape((2,) * (2 * m)).copy()
     for n in range(2, m + 1):
         acc = t.copy()

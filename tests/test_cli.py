@@ -172,6 +172,29 @@ def test_verify_rejects_unknown_family():
     assert main(["verify", "--family", "bogus", "--m", "3"]) == 1
 
 
+@pytest.mark.parametrize("family", ["ssc", "smc"])
+def test_verify_takes_alpha_for_gossip_only(family, capsys):
+    assert main(["verify", "--family", family, "--m", "3", "--alpha", "0.3"]) == 1
+    assert "takes no alpha" in capsys.readouterr().err
+    assert main(["verify", "--family", "gossip", "--m", "3"]) == 0
+
+
+@pytest.mark.parametrize(
+    "command, section",
+    [("prepare", "prepare: {target_k: 1, steps: 5}"), ("convergence", "convergence: {gamma: 0.5, horizon: 0, trials: 2}")],
+    ids=["prepare", "convergence"],
+)
+def test_early_stop_is_a_usage_error_where_it_is_not_read(tmp_path, command, section):
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(
+        "topology:\n  m: 3\n  edges: [[1, 2], [2, 3]]\nfamily: {kind: smc}\n"
+        f"initial_state: {{kind: random, seed: 3}}\n{section}\n"
+    )
+    argv = [command, "--config", str(cfg_path), "--output-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert main([*argv, "--early-stop"]) == 1
+
+
 def test_convergence_estimate(tmp_path, capsys):
     cfg_path = tmp_path / "conv.yaml"
     cfg_path.write_text(

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from qconsensus import simulator
 from qconsensus.dynamics import ChannelFamily, build_channels
 from qconsensus.network import NetworkTopology
-from qconsensus.qcore import apply_channel, bitstring_ket, ket_to_density, pure_state_fidelity
+from qconsensus.qcore import apply_channel, bitstring_ket, ket_to_density, pure_state_fidelity, validate_density_matrix
 from qconsensus.simulator import (
     Schedule,
     apply_flip,
@@ -17,7 +18,7 @@ from qconsensus.simulator import (
     trajectory_csv_lines,
     write_trajectory_csv,
 )
-from qconsensus.symmetry import dicke_ket, excitation_counts, gossip_fixed_point
+from qconsensus.symmetry import dicke_ket, excitation_counts, gossip_fixed_point, v_smc
 
 PATH3 = NetworkTopology(m=3, neighborhoods=((1, 2), (2, 3)))
 
@@ -314,6 +315,54 @@ def test_prepare_dicke_validates_inputs():
     disconnected = NetworkTopology(m=3, neighborhoods=((1, 2),))
     with pytest.raises(ValueError, match="connected"):
         prepare_dicke(random_density(1, 8), 1, disconnected, rng)
+
+
+PAIR2 = NetworkTopology(m=2, neighborhoods=((1, 2),))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rho: apply_flip(rho, 1, 2),
+        lambda rho: measure_local_z(rho, 1, 2, np.random.default_rng(0)),
+        lambda rho: prepare_dicke(rho, 1, PAIR2, np.random.default_rng(0)),
+        lambda rho: convergence_probability(rho, PAIR2, ChannelFamily.smc(), 0.8, horizon=0, trials=1, seed=0),
+        lambda rho: v_smc(rho, 2),
+    ],
+    ids=["apply_flip", "measure_local_z", "prepare_dicke", "convergence_probability", "v_smc"],
+)
+def test_wrong_size_states_raise_the_shape_error(call):
+    with pytest.raises(ValueError, match=r"shape \(8, 8\) does not match m=2"):
+        call(np.eye(8) / 8)
+
+
+def test_run_checks_the_shape_before_it_factorizes(monkeypatch):
+    calls = []
+
+    def counting_validate(rho):
+        calls.append(rho.shape)
+        return validate_density_matrix(rho)
+
+    monkeypatch.setattr(simulator, "validate_density_matrix", counting_validate)
+    with pytest.raises(ValueError, match=r"shape \(8, 8\) does not match m=2"):
+        run(np.eye(8) / 8, PAIR2, ChannelFamily.ssc(), Schedule.cyclic(), 1)
+    assert calls == []
+
+
+@pytest.mark.parametrize("site", [True, 1.0], ids=["bool", "float"])
+@pytest.mark.parametrize(
+    "call",
+    [lambda rho, site: apply_flip(rho, site, 2), lambda rho, site: measure_local_z(rho, site, 2, np.random.default_rng(0))],
+    ids=["apply_flip", "measure_local_z"],
+)
+def test_sites_that_are_not_integers_raise(call, site):
+    with pytest.raises(ValueError, match="not an integer"):
+        call(np.eye(4) / 4, site)
+
+
+def test_random_schedule_has_no_default_seed():
+    with pytest.raises(TypeError):
+        Schedule.random()
 
 
 def test_trajectory_csv_shape(tmp_path):

@@ -96,6 +96,17 @@ def test_schmidt_reconstruction_fidelity_exhaustive():
                 assert overlap >= 1.0 - 1e-12, (m, k, m_a)
 
 
+@pytest.mark.parametrize("k", [True, 1.0], ids=["bool", "float"])
+@pytest.mark.parametrize(
+    "call",
+    [lambda k: dicke_ket(3, k), lambda k: excitation_indices(3, k), lambda k: schmidt_reconstruct(3, k, 1)],
+    ids=["dicke_ket", "excitation_indices", "schmidt_reconstruct"],
+)
+def test_counts_that_are_not_integers_raise(call, k):
+    with pytest.raises(ValueError, match="not an integer"):
+        call(k)
+
+
 def test_schmidt_rejects_bad_split():
     with pytest.raises(ValueError):
         schmidt_reconstruct(3, 1, 3)
