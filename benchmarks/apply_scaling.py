@@ -20,7 +20,17 @@ state:
   complete graph), for m <= 6 only;
 * convergence_s: one end-to-end `simulator.convergence_probability` on the
   m-site path graph from the seeded state (CONVERGENCE_TRIALS trials of
-  CONVERGENCE_HORIZON steps, gamma CONVERGENCE_GAMMA), for m <= 8 only.
+  CONVERGENCE_HORIZON steps, gamma CONVERGENCE_GAMMA), for m <= 8 only;
+* trial_step_s: one carried-layout step of the pair kernel
+  `qcore._apply_pairs` on a trial's state (the real part for ssc and smc,
+  the complex state for gossip), for m <= 8 only.  It is the time of one
+  CONVERGENCE_HORIZON-step trial on the path graph divided by its steps, so
+  it holds a 1/CONVERGENCE_HORIZON share of the trial's final return to
+  canonical order.  A step is one transposed copy and one matmul, and
+  trial_matmul_s times that matmul alone (16x16 superoperator times the
+  (16, d^2/16) view, float64 for all three families), which splits the step
+  into its copy and its product.  Both are null for a checkout without the
+  kernel.
 
 Each per-m row also holds two family-independent times on the seeded state:
 
@@ -90,6 +100,24 @@ def verify_fn(kind: str, m: int):
     return verify
 
 
+def trial_split(family, topology, rho: np.ndarray, repeats: int) -> dict:
+    """Per-step time of one seeded trial of the pair kernel from rho, and of its matmul alone."""
+    from qconsensus.dynamics import build_channels
+    from qconsensus.qcore import _apply_pairs
+
+    x = rho if family.kind == "gossip" else rho.real
+    steps = [(ch, ch.superop) for ch in build_channels(family, topology)]
+    picks = np.random.default_rng(0).integers(len(steps), size=CONVERGENCE_HORIZON)
+    trial = [steps[i] for i in picks]
+    front = np.ascontiguousarray(x.reshape(16, -1))
+    front = front.view(np.float64) if front.dtype == complex else front
+    superop = steps[0][1]
+    return {
+        "trial_step_s": median_time(lambda: _apply_pairs(x, trial), repeats) / len(trial),
+        "trial_matmul_s": median_time(lambda: superop @ front, repeats),
+    }
+
+
 def layer_times(m: int) -> dict:
     """Median per-family layer times at size m, plus record and fixed-point times."""
     from qconsensus.dynamics import ChannelFamily, neighborhood_channel
@@ -119,6 +147,10 @@ def layer_times(m: int) -> dict:
             path = NetworkTopology(m=m, neighborhoods=tuple((i, i + 1) for i in range(1, m)))
             args = (rho, path, family, CONVERGENCE_GAMMA, CONVERGENCE_HORIZON, CONVERGENCE_TRIALS, 0)
             out[kind]["convergence_s"] = median_time(lambda: convergence_probability(*args), min(repeats, 5))
+            try:
+                out[kind].update(trial_split(family, path, rho, repeats))
+            except ImportError:
+                out[kind].update(trial_step_s=None, trial_matmul_s=None)
         del channel, after
     out["record_s"] = median_time(lambda: (dicke_populations(rho, m), purity(rho)), repeats)
     if m <= 8:

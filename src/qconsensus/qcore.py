@@ -64,6 +64,7 @@ def ket(amplitudes) -> np.ndarray:
 
 def basis_ket(dim: int, index: int) -> np.ndarray:
     """Computational basis vector |index> in a dim-dimensional space."""
+    index = _as_index(index, "basis index")
     if not 0 <= index < dim:
         raise ValueError(f"basis index {index} out of range for dim {dim}")
     v = np.zeros(dim, dtype=complex)
@@ -293,16 +294,23 @@ def check_cptp(channel_or_ops) -> CPTPReport:
     return CPTPReport(completeness_residual=completeness_residual(ops), is_unital=unital)
 
 
-def _apply_local(channel: KrausChannel, superop: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Contract a local superoperator into the (2,)*2m view of x; a real one acts on the float64 view."""
-    x = _as_state(x, channel.m)
-    tensor_shape = (2,) * (2 * channel.m)
-    front = np.ascontiguousarray(x.reshape(tensor_shape).transpose(channel.perm).reshape(len(superop), -1))
-    if superop.dtype == complex:
-        out = superop @ front
-    else:
-        out = (superop @ front.view(np.float64)).view(complex)
-    return out.reshape(tensor_shape).transpose(channel.inverse_perm).reshape(x.shape)
+def _apply_pairs(x: np.ndarray, steps) -> np.ndarray:
+    """The pair kernel: apply (channel, superop) steps in turn to the (2,)*2m view of x.
+
+    x is complex, or float64 (a real part) when every superop is real; a real
+    superop multiplies the float64 view of a complex x.  Between steps the
+    tensor stays in the last channel's perm order, so a step is one transposed
+    copy and one matmul; canonical order returns once, at the end.
+    """
+    tensor = (2,) * (x.size.bit_length() - 1)
+    t, layout = x.reshape(tensor), None
+    for channel, superop in steps:
+        axes = channel.perm if layout is None else [layout[a] for a in channel.perm]
+        front = np.ascontiguousarray(t.transpose(axes)).reshape(len(superop), -1)
+        float_view = superop.dtype != complex and front.dtype == complex
+        t = (superop @ front.view(np.float64)).view(complex) if float_view else superop @ front
+        t, layout = t.reshape(tensor), channel.inverse_perm
+    return x if layout is None else t.transpose(layout).reshape(x.shape)
 
 
 def apply_channel(channel: KrausChannel, rho: np.ndarray, *, validate: bool = True) -> np.ndarray:
@@ -312,7 +320,7 @@ def apply_channel(channel: KrausChannel, rho: np.ndarray, *, validate: bool = Tr
     density-matrix invariants; pass validate=False in benchmark loops or when
     mapping non-state operators through the same linear map.
     """
-    out = _apply_local(channel, channel.superop, rho)
+    out = _apply_pairs(_as_state(rho, channel.m), [(channel, channel.superop)])
     if validate:
         validate_density_matrix(out)
     return out
@@ -322,9 +330,9 @@ def apply_error_bound(channel: KrausChannel) -> float:
     """Trace-norm bound, per unit ||rho||_F, on the error of one apply_channel.
 
     Let E be the exactly CPTP map whose superoperator the stored one
-    approximates.  Every output entry of the kernel is a real 16-term dot
+    approximates.  Every output entry of _apply_pairs is a real 16-term dot
     product of a row of the stored superoperator S with a column of the
-    float64 view x of rho (transposes are exact), so
+    float64 view x of rho (its copies are exact), so
     |fl(S x) - S x| <= gamma_16 |S| |x| (Higham, 2nd ed., Sec. 3.5).  The
     stored S is within 5u entrywise of E's superoperator (0 for ssc, at most
     2u for smc and 2.7u measured for gossip; 5u is the worst case of
@@ -346,7 +354,7 @@ def dual_apply(channel: KrausChannel, x: np.ndarray) -> np.ndarray:
     Satisfies Tr[X E(rho)] = Tr[E^dag(X) rho] for every rho, and is unital
     whenever the channel is trace preserving.
     """
-    return _apply_local(channel, channel.superop.conj().T, x)
+    return _apply_pairs(_as_state(x, channel.m), [(channel, channel.superop.conj().T)])
 
 
 # Matrix (de)serialization: a JSON object {"dim": d, "entries": [[re, im], ...]}

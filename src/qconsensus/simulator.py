@@ -20,6 +20,7 @@ from .dynamics import ChannelFamily, build_channels
 from .network import NetworkTopology, _as_count, _as_index, _as_site, _as_state, is_connected
 from .qcore import (
     PSD_ATOL,
+    _apply_pairs,
     apply_channel,
     apply_error_bound,
     check_trace,
@@ -312,11 +313,12 @@ def convergence_probability(
 
     Trial t draws its neighborhoods i.i.d. from the topology's selection
     distribution (uniform if unset) with the generator seeded by
-    SeedSequence(seed).spawn(trials)[t].generate_state(1)[0], so it equals
-    run(rho0, ..., Schedule.random(seed=<that seed>), horizon, validate=False)
-    followed by lyapunov_gap; the channels are built once per call and no
-    per-step records are kept.  Raises ValueError on a disconnected
-    interaction graph, where convergence is not guaranteed.
+    SeedSequence(seed).spawn(trials)[t].generate_state(1)[0].  Channels are
+    built once per call; a trial is one pair-kernel call on its picks, with no
+    records, and ssc and smc trials evolve only Re(rho), all their gaps read.
+    So a trial equals run(rho0, ..., Schedule.random(seed=<that seed>),
+    horizon, validate=False) plus lyapunov_gap to rounding, with the same hit
+    count.  Raises ValueError on a disconnected interaction graph.
     """
     if gamma <= 0:
         raise ValueError(f"need gamma > 0, got {gamma}")
@@ -330,12 +332,13 @@ def convergence_probability(
     rho0 = _as_state(rho0, m)
     validate_density_matrix(rho0)
     gossip_target = gossip_fixed_point(rho0, m) if family.kind == "gossip" else None
-    channels = build_channels(family, topology)
+    steps = [(ch, ch.superop) for ch in build_channels(family, topology)]
+    # The superoperators are real and the ssc and smc gaps read only Re(rho).
+    start = rho0 if family.kind == "gossip" else rho0.real
     hits = 0
     for child in np.random.SeedSequence(seed).spawn(trials):
-        rho = rho0
-        for idx in _random_picks(topology, int(child.generate_state(1)[0]), horizon):
-            rho = apply_channel(channels[idx], rho, validate=False)
+        picks = _random_picks(topology, int(child.generate_state(1)[0]), horizon)
+        rho = _apply_pairs(start, [steps[i] for i in picks])
         hits += lyapunov_gap(family, rho, m, gossip_target=gossip_target) < gamma
     return hits / trials
 

@@ -130,7 +130,7 @@ def is_ssc(rho: np.ndarray, m: int, tol: float = 1e-9) -> tuple[bool, float]:
     transpositions generate the full permutation group, so checking the m-1
     generators suffices.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = _as_state(rho, m)
     residual = 0.0
     for i in range(1, m):
         images = list(range(1, m + 1))
@@ -147,7 +147,7 @@ def is_smc(rho: np.ndarray, m: int, tol: float = 1e-9) -> tuple[bool, float, flo
     the worst violation of Tr(P_j^(k) P_j^(l) rho) = Tr(P_j^(l) rho) over
     outcomes j in {0,1} and site pairs.  The verdict is population >= 1-tol.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = _as_state(rho, m)
     diag = np.real(np.diag(rho))
     population = float(rho[0, 0].real + rho[-1, -1].real)
     off_diagonal = ~np.eye(m, dtype=bool)
@@ -163,13 +163,13 @@ def is_smc(rho: np.ndarray, m: int, tol: float = 1e-9) -> tuple[bool, float, flo
 def v_dicke(rho: np.ndarray, m: int, k: int) -> float:
     """Lyapunov value 1 - <(m,k)| rho |(m,k)> for one Dicke target."""
     d = dicke_ket(m, k)
-    return 1.0 - float(np.real(d.conj() @ np.asarray(rho, dtype=complex) @ d))
+    return 1.0 - float(np.real(d.conj() @ _as_state(rho, m) @ d))
 
 
 def dicke_populations(rho: np.ndarray, m: int) -> np.ndarray:
     """<(m,k)| rho |(m,k)>, k = 0..m: column sums of D * (Re(rho) @ D), D real."""
     d = _dicke_matrix(m)
-    return np.sum(d * (np.real(rho) @ d), axis=0)
+    return np.sum(d * (np.real(_as_state(rho, m)) @ d), axis=0)
 
 
 def v_total(rho: np.ndarray, m: int) -> float:
@@ -210,7 +210,7 @@ def per_site_expectations(rho: np.ndarray, m: int) -> np.ndarray:
     At consensus these agree across sites and, rescaled by m, recover the
     expectation of the global observable from any single site.
     """
-    diag = np.real(np.diag(np.asarray(rho, dtype=complex)))
+    diag = np.real(np.diag(_as_state(rho, m)))
     return 2.0 * (diag @ (1 - site_bits(m)))
 
 
@@ -225,7 +225,7 @@ class ConsensusReport:
 
 
 def consensus_report(rho: np.ndarray, m: int) -> ConsensusReport:
-    rho = np.asarray(rho, dtype=complex)
+    rho = _as_state(rho, m)
     _, ssc_residual = is_ssc(rho, m)
     _, population, pairwise = is_smc(rho, m)
     s_exp = float(np.dot(global_observable_diagonal(m), np.real(np.diag(rho))))

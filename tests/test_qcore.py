@@ -38,6 +38,13 @@ def test_ket_rejects_zero_vector():
         ket([0.0, 0.0])
 
 
+@pytest.mark.parametrize("index", [True, 1.0], ids=["bool", "float"])
+def test_basis_ket_rejects_an_index_it_would_have_to_coerce(index):
+    # numpy would read True as a mask over the whole vector and 1.0 as an IndexError.
+    with pytest.raises(ValueError, match="basis index"):
+        basis_ket(4, index)
+
+
 def test_bitstring_ket_site_one_most_significant():
     assert np.argmax(np.abs(bitstring_ket("01"))) == 1
     assert np.argmax(np.abs(bitstring_ket("100"))) == 4

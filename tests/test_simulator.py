@@ -1,10 +1,19 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from qconsensus import simulator
 from qconsensus.dynamics import ChannelFamily, build_channels
 from qconsensus.network import NetworkTopology
-from qconsensus.qcore import apply_channel, bitstring_ket, ket_to_density, pure_state_fidelity, validate_density_matrix
+from qconsensus.qcore import (
+    _apply_pairs,
+    apply_channel,
+    bitstring_ket,
+    ket_to_density,
+    pure_state_fidelity,
+    validate_density_matrix,
+)
 from qconsensus.simulator import (
     Schedule,
     apply_flip,
@@ -412,11 +421,41 @@ def test_convergence_probability_equals_trial_by_trial_replay(family, topology):
     rho0 = random_density(37, 1 << topology.m)
     horizon, trials, seed = 12, 10, 2024
     gaps = _replayed_trial_gaps(rho0, topology, family, horizon, trials, seed)
-    # gamma between the two middle gaps, so both outcomes occur and every hit matters.
-    gamma = 0.5 * (gaps[trials // 2 - 1] + gaps[trials // 2])
-    expected = sum(g < gamma for g in gaps) / trials
-    assert 0.0 < expected < 1.0
-    assert convergence_probability(rho0, topology, family, gamma, horizon, trials, seed) == expected
+    # gamma halfway between each pair of consecutive distinct gaps: k trials hit, so every trial's hit is
+    # checked (trials with equal gaps, such as equal picks, hit together).
+    distinct = [k for k in range(1, trials) if gaps[k] - gaps[k - 1] > 1e-9]
+    assert trials // 2 in distinct and len(distinct) >= trials // 2
+    for k in distinct:
+        gamma = 0.5 * (gaps[k - 1] + gaps[k])
+        assert convergence_probability(rho0, topology, family, gamma, horizon, trials, seed) == k / trials
+
+
+def _kernel_graphs(m):
+    path = tuple((i, i + 1) for i in range(1, m))
+    chord = ((1, m),) if m > 2 else ()
+    chord += ((1, m // 2 + 1),) if m >= 4 else ()
+    return {"path": path, "ring-chord": path + chord, "complete": tuple(combinations(range(1, m + 1), 2))}
+
+
+@pytest.mark.parametrize("graph", ["path", "ring-chord", "complete"])
+@pytest.mark.parametrize("m", range(2, 7))
+@pytest.mark.parametrize(
+    "family", [ChannelFamily.gossip(0.3), ChannelFamily.ssc(), ChannelFamily.smc()], ids=["gossip", "ssc", "smc"]
+)
+def test_pair_kernel_trial_matches_the_dense_run_replay(family, m, graph):
+    topology = NetworkTopology(m=m, neighborhoods=_kernel_graphs(m)[graph])
+    rho0 = random_density(50 + m, 1 << m)
+    steps = [(ch, ch.superop) for ch in build_channels(family, topology)]
+    # A trial evolves the whole state for gossip and only its real part for ssc and smc.
+    start = rho0 if family.kind == "gossip" else rho0.real
+    for child in np.random.SeedSequence(11).spawn(3):
+        seed = int(child.generate_state(1)[0])
+        picks = simulator._random_picks(topology, seed, 25)
+        out = _apply_pairs(start, [steps[i] for i in picks])
+        final = run(rho0, topology, family, Schedule.random(seed=seed), 25, validate=False).final_state
+        expected = final if family.kind == "gossip" else final.real
+        assert out.dtype == expected.dtype
+        assert np.max(np.abs(out - expected)) <= 1e-12
 
 
 @pytest.mark.parametrize(

@@ -319,3 +319,13 @@ def test_site_bit_diagnostics_match_loop_reference(m):
     )
     assert abs(is_smc(rho, m)[2] - residual) < 1e-14
     assert np.max(np.abs(per_site_expectations(rho, m) - [2.0 * p[0, i] for i in range(m)])) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "readout",
+    [dicke_populations, v_total, lambda rho, m: v_dicke(rho, m, 1), is_smc, is_ssc, consensus_report, per_site_expectations],
+    ids=["dicke_populations", "v_total", "v_dicke", "is_smc", "is_ssc", "consensus_report", "per_site_expectations"],
+)
+def test_symmetry_readouts_reject_a_wrong_size_state(readout):
+    with pytest.raises(ValueError, match=r"shape \(8, 8\) does not match m=2"):
+        readout(np.eye(8) / 8, 2)
