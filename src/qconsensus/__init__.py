@@ -19,6 +19,7 @@ from .dynamics import (
     ssc_pair_channel,
 )
 from .network import (
+    InputError,
     NetworkTopology,
     embed_neighborhood,
     is_connected,

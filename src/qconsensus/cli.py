@@ -1,8 +1,10 @@
 """Command line front end: run, compare, prepare, verify, convergence.
 
 Experiments are described by a YAML config file (print the schema with
-`qconsensus --print-schema`).  Exit codes: 0 success, 1 config or usage
-error, 2 numeric invariant violation or failed verification.
+`qconsensus --print-schema`).  Exit codes: 0 success; 1 usage error or
+InputError, which this module raises for a malformed config and the library
+for a bad argument; 2 failed verification, or any other ValueError,
+FloatingPointError or LinAlgError (a numeric invariant violation).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 import yaml
 
 from .dynamics import ChannelFamily, certify_family
-from .network import NetworkTopology, _as_count, _as_index, _as_real
+from .network import InputError, NetworkTopology, _as_index, _as_real, _as_seed
 from .qcore import bitstring_ket, ket_to_density, load_matrix, purity
 from .simulator import (
     Schedule,
@@ -54,7 +56,7 @@ initial_state:
   seed: 42                   # random: optional, defaults to top-level seed
   path: rho.json             # file: JSON matrix, see below
 
-seed: 123                    # master seed for any unseeded randomness
+seed: 123                    # master seed (>= 0) for any unseeded randomness
 output: trajectory.csv       # optional output file name
 
 prepare:                     # `prepare` subcommand only
@@ -77,20 +79,16 @@ convergence:                 # `convergence` subcommand only
 DEFAULT_SEED = 0
 
 
-class ConfigError(Exception):
-    """Invalid or unreadable experiment configuration."""
-
-
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = yaml.safe_load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise InputError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
-        raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
+        raise InputError(f"invalid YAML in {path}: {exc}") from exc
     if not isinstance(cfg, dict):
-        raise ConfigError(f"config {path} must be a mapping at the top level")
+        raise InputError(f"config {path} must be a mapping at the top level")
     return cfg
 
 
@@ -98,44 +96,18 @@ def _section(cfg: dict, key: str, required: bool = True) -> dict:
     value = cfg.get(key)
     if value is None:
         if required:
-            raise ConfigError(f"missing config section '{key}'")
+            raise InputError(f"missing config section '{key}'")
         return {}
     if not isinstance(value, dict):
-        raise ConfigError(f"config section '{key}' must be a mapping")
+        raise InputError(f"config section '{key}' must be a mapping")
     return value
 
 
-def _as_int(value, name: str) -> int:
-    """network._as_index for a YAML value; its ValueError becomes a config error naming the key."""
-    try:
-        return _as_index(value, f"'{name}'")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _as_number(value, name: str) -> float:
-    """network._as_real for a YAML value; its ValueError becomes a config error naming the key."""
-    try:
-        return _as_real(value, f"'{name}'")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _int_value(section: dict, key: str, context: str, *, required: bool = True, default=None):
+def _int_value(section: dict, key: str, context: str, default=None) -> int:
     value = section.get(key, default)
     if value is None:
-        if required:
-            raise ConfigError(f"missing key '{context}.{key}'")
-        return None
-    return _as_int(value, f"{context}.{key}")
-
-
-def _count_value(section: dict, key: str, context: str, m: int) -> int:
-    """An excitation count in 0..m; network._as_count's ValueError becomes a config error naming the key."""
-    try:
-        return _as_count(_int_value(section, key, context), m)
-    except ValueError as exc:
-        raise ConfigError(f"'{context}.{key}': {exc}") from None
+        raise InputError(f"missing key '{context}.{key}'")
+    return _as_index(value, f"'{context}.{key}'")
 
 
 def _build_topology(cfg: dict) -> NetworkTopology:
@@ -143,50 +115,39 @@ def _build_topology(cfg: dict) -> NetworkTopology:
     m = _int_value(section, "m", "topology")
     edges = section.get("edges")
     if not isinstance(edges, list) or not edges:
-        raise ConfigError("'topology.edges' must be a nonempty list of site pairs")
+        raise InputError("'topology.edges' must be a nonempty list of site pairs")
     pairs = []
     for i, edge in enumerate(edges):
         if (not isinstance(edge, (list, tuple))) or len(edge) != 2:
-            raise ConfigError(f"'topology.edges[{i}]' must be a pair of site indices")
-        pairs.append(tuple(_as_int(site, f"topology.edges[{i}][{j}]") for j, site in enumerate(edge)))
+            raise InputError(f"'topology.edges[{i}]' must be a pair of site indices")
+        pairs.append(tuple(_as_index(site, f"'topology.edges[{i}][{j}]'") for j, site in enumerate(edge)))
     probabilities = section.get("probabilities")
     if probabilities is not None:
         if not isinstance(probabilities, list):
-            raise ConfigError(f"'topology.probabilities' must be a list of numbers, got {probabilities!r}")
-        probabilities = tuple(_as_number(p, f"topology.probabilities[{i}]") for i, p in enumerate(probabilities))
-    try:
-        return NetworkTopology(m=m, neighborhoods=tuple(pairs), probabilities=probabilities)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"'topology': {exc}") from exc
+            raise InputError(f"'topology.probabilities' must be a list of numbers, got {probabilities!r}")
+        probabilities = tuple(_as_real(p, f"'topology.probabilities[{i}]'") for i, p in enumerate(probabilities))
+    return NetworkTopology(m=m, neighborhoods=tuple(pairs), probabilities=probabilities)
 
 
 def _build_family(cfg: dict) -> ChannelFamily:
     section = _section(cfg, "family")
     alpha = section.get("alpha")
-    try:
-        return ChannelFamily(section.get("kind"), None if alpha is None else _as_number(alpha, "family.alpha"))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"'family': {exc}") from exc
+    return ChannelFamily(section.get("kind"), None if alpha is None else _as_real(alpha, "'family.alpha'"))
 
 
 def _build_schedule(cfg: dict, master_seed: int) -> Schedule:
     section = _section(cfg, "schedule", required=False)
     if "probabilities" in section:
-        raise ConfigError("'schedule.probabilities' is not a schedule key; set selection weights in 'topology.probabilities'")
+        raise InputError("'schedule.probabilities' is not a schedule key; set selection weights in 'topology.probabilities'")
     mode = section.get("mode", "cyclic")
-    try:
-        if mode == "cyclic":
-            order = section.get("order")
-            if order is None:
-                return Schedule.cyclic()
-            if not isinstance(order, list):
-                raise ConfigError(f"'schedule.order' must be a list of edge indices, got {order!r}")
-            return Schedule.cyclic([_as_int(i, f"schedule.order[{n}]") for n, i in enumerate(order)])
-        if mode == "random":
-            return Schedule.random(seed=_int_value(section, "seed", "schedule", default=master_seed))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"'schedule': {exc}") from exc
-    raise ConfigError(f"'schedule.mode' must be cyclic or random, got {mode!r}")
+    if mode == "random":
+        return Schedule.random(seed=_int_value(section, "seed", "schedule", master_seed))
+    order = section.get("order")
+    if order is not None:
+        if not isinstance(order, list):
+            raise InputError(f"'schedule.order' must be a list of edge indices, got {order!r}")
+        order = tuple(_as_index(i, f"'schedule.order[{n}]'") for n, i in enumerate(order))
+    return Schedule(mode, order)
 
 
 def _build_initial_state(cfg: dict, m: int, master_seed: int) -> np.ndarray:
@@ -194,45 +155,32 @@ def _build_initial_state(cfg: dict, m: int, master_seed: int) -> np.ndarray:
     kind = section.get("kind")
     if kind == "basis":
         bits = section.get("string")
-        if not isinstance(bits, str) or len(bits) != m or any(c not in "01" for c in bits):
-            raise ConfigError(f"'initial_state.string' must be an m={m} bit string, got {bits!r}")
+        if not isinstance(bits, str) or len(bits) != m:
+            raise InputError(f"'initial_state.string' must be an m={m} bit string, got {bits!r}")
         return ket_to_density(bitstring_ket(bits))
     if kind == "dicke":
-        return ket_to_density(dicke_ket(m, _count_value(section, "k", "initial_state", m)))
+        return ket_to_density(dicke_ket(m, _int_value(section, "k", "initial_state")))
     if kind == "random":
-        seed = _int_value(section, "seed", "initial_state", required=False)
-        return random_density(master_seed if seed is None else seed, 1 << m)
+        return random_density(_int_value(section, "seed", "initial_state", master_seed), 1 << m)
     if kind == "file":
         path = section.get("path")
         if not isinstance(path, str):
-            raise ConfigError("'initial_state.path' must be a file path")
+            raise InputError("'initial_state.path' must be a file path")
         try:
-            rho = load_matrix(path)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"'initial_state.path': {exc}") from exc
-        if rho.shape != (1 << m, 1 << m):
-            raise ConfigError(f"matrix in {path} has shape {rho.shape}, expected {(1 << m, 1 << m)}")
-        return rho
-    raise ConfigError(f"'initial_state.kind' must be basis, dicke, random, or file, got {kind!r}")
-
-
-def _steps(cfg: dict) -> int:
-    steps = _int_value(cfg, "steps", "config")
-    if steps < 1:
-        raise ConfigError(f"'steps' must be >= 1, got {steps}")
-    return steps
+            return load_matrix(path)
+        except OSError as exc:
+            raise InputError(f"'initial_state.path': {exc}") from exc
+    raise InputError(f"'initial_state.kind' must be basis, dicke, random, or file, got {kind!r}")
 
 
 def _master_seed(cfg: dict, override) -> int:
-    if override is not None:
-        return int(override)
-    return _as_int(cfg.get("seed", DEFAULT_SEED), "seed")
+    return _as_seed(cfg.get("seed", DEFAULT_SEED) if override is None else override, "'seed'")
 
 
 def _output_path(cfg: dict, args, default_name: str) -> Path:
     name = cfg.get("output", default_name)
     if not isinstance(name, str) or not name:
-        raise ConfigError(f"'output' must be a file name, got {name!r}")
+        raise InputError(f"'output' must be a file name, got {name!r}")
     out_dir = Path(args.output_dir) if args.output_dir else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     return out_dir / name
@@ -257,7 +205,7 @@ def cmd_run(args) -> int:
     topology = _build_topology(cfg)
     family = _build_family(cfg)
     schedule = _build_schedule(cfg, seed)
-    steps = _steps(cfg)
+    steps = _int_value(cfg, "steps", "config")
     rho0 = _build_initial_state(cfg, topology.m, seed)
     result = run(rho0, topology, family, schedule, steps, early_stop=args.early_stop)
     out = _output_path(cfg, args, f"{family.kind}_trajectory.csv")
@@ -272,7 +220,7 @@ def cmd_compare(args) -> int:
     seed = _master_seed(cfg, args.seed)
     topology = _build_topology(cfg)
     schedule = _build_schedule(cfg, seed)
-    steps = _steps(cfg)
+    steps = _int_value(cfg, "steps", "config")
     rho0 = _build_initial_state(cfg, topology.m, seed)
     # compare runs all three families; only 'family.alpha' is read, for gossip.
     gossip_section = {**_section(cfg, "family", required=False), "kind": "gossip"}
@@ -283,7 +231,7 @@ def cmd_compare(args) -> int:
     ]
     stem = cfg.get("output")
     if stem is not None and (not isinstance(stem, str) or not stem):
-        raise ConfigError(f"'output' must be a file name, got {stem!r}")
+        raise InputError(f"'output' must be a file name, got {stem!r}")
     finals = {}
     for family in families:
         if stem is None:
@@ -309,13 +257,11 @@ def cmd_prepare(args) -> int:
     seed = _master_seed(cfg, args.seed)
     topology = _build_topology(cfg)
     section = _section(cfg, "prepare")
-    target_k = _count_value(section, "target_k", "prepare", topology.m)
+    target_k = _int_value(section, "target_k", "prepare")
     use_s = section.get("use_s_measurement", False)
     if not isinstance(use_s, bool):
-        raise ConfigError(f"'prepare.use_s_measurement' must be true or false, got {use_s!r}")
-    steps = _int_value(section, "steps", "prepare", required=False, default=300)
-    if steps < 1:
-        raise ConfigError(f"'prepare.steps' must be >= 1, got {steps}")
+        raise InputError(f"'prepare.use_s_measurement' must be true or false, got {use_s!r}")
+    steps = _int_value(section, "steps", "prepare", 300)
     rho0 = _build_initial_state(cfg, topology.m, seed)
     rng = np.random.default_rng(seed)
     result = prepare_dicke(
@@ -338,15 +284,9 @@ def cmd_convergence(args) -> int:
     topology = _build_topology(cfg)
     family = _build_family(cfg)
     section = _section(cfg, "convergence")
-    gamma = _as_number(section.get("gamma"), "convergence.gamma")
-    if gamma <= 0:
-        raise ConfigError(f"'convergence.gamma' must be positive, got {gamma!r}")
+    gamma = _as_real(section.get("gamma"), "'convergence.gamma'")
     horizon = _int_value(section, "horizon", "convergence")
     trials = _int_value(section, "trials", "convergence")
-    if horizon < 0:
-        raise ConfigError(f"'convergence.horizon' must be >= 0, got {horizon}")
-    if trials < 1:
-        raise ConfigError(f"'convergence.trials' must be >= 1, got {trials}")
     rho0 = _build_initial_state(cfg, topology.m, seed)
     estimate = convergence_probability(rho0, topology, family, gamma, horizon, trials, seed)
     low, high = _wilson_interval(estimate, trials)
@@ -363,11 +303,8 @@ def _wilson_interval(p: float, n: int, z: float = 1.959963984540054) -> tuple[fl
 
 def cmd_verify(args) -> int:
     if args.m < 2 or args.m > 6:
-        raise ConfigError(f"verify supports 2 <= m <= 6, got {args.m}")
-    try:
-        family = ChannelFamily(args.family, args.alpha)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise InputError(f"verify supports 2 <= m <= 6, got {args.m}")
+    family = ChannelFamily(args.family, args.alpha)
     print(f"verify: family={family.kind} m={args.m} (complete graph, every row holds for all states)")
     rows = certify_family(family, args.m)
     for name, ok, detail in rows:
@@ -425,7 +362,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except InputError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:

@@ -22,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .network import NetworkTopology, _as_real, _as_site
+from .network import InputError, NetworkTopology, _as_pair, _as_real
 from .qcore import KrausChannel, apply_channel, check_cptp, dual_apply, ket_to_density
 from .symmetry import dicke_ket, excitation_counts, global_observable, smc_projector
 
@@ -56,14 +56,14 @@ class ChannelFamily:
 
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
-            raise ValueError(f"unknown family {self.kind!r}, expected one of {FAMILY_KINDS}")
+            raise InputError(f"unknown family {self.kind!r}, expected one of {FAMILY_KINDS}")
         if self.kind == "gossip":
             alpha = 0.5 if self.alpha is None else _as_real(self.alpha, "gossip mixing weight")
             if not 0.0 < alpha < 1.0:
-                raise ValueError(f"gossip mixing weight must lie in (0, 1), got {alpha}")
+                raise InputError(f"gossip mixing weight must lie in (0, 1), got {alpha}")
             object.__setattr__(self, "alpha", alpha)
         elif self.alpha is not None:
-            raise ValueError(f"family {self.kind!r} takes no alpha parameter")
+            raise InputError(f"family {self.kind!r} takes no alpha parameter")
 
     @classmethod
     def gossip(cls, alpha: float = 0.5) -> "ChannelFamily":
@@ -96,7 +96,7 @@ def gossip_channel(pair, m: int, alpha: float) -> KrausChannel:
     """Pair gossip map rho -> (1-alpha) rho + alpha U_swap rho U_swap^dag."""
     alpha = ChannelFamily.gossip(alpha).alpha
     ops = (np.sqrt(1.0 - alpha) * np.eye(4, dtype=complex), np.sqrt(alpha) * _SWAP2)
-    j, k = sorted(_as_site(s, m) for s in pair)
+    j, k = _as_pair(pair, m)
     return KrausChannel(ops, label=f"gossip({j},{k}|alpha={alpha:g})", sites=(j, k), m=m)
 
 
@@ -116,7 +116,7 @@ def ssc_pair_channel() -> KrausChannel:
 
 def ssc_channel(pair, m: int) -> KrausChannel:
     """The ssc pair map on sites (j, k) of an m-qubit network."""
-    j, k = sorted(_as_site(s, m) for s in pair)
+    j, k = _as_pair(pair, m)
     return KrausChannel(_SSC_KRAUS, label=f"ssc({j},{k})", sites=(j, k), m=m)
 
 
@@ -144,7 +144,7 @@ def smc_neighborhood_channel(n_sites: int) -> KrausChannel:
     observable; both are positive because k has a zero bit and a one bit.
     """
     if n_sites < 2:
-        raise ValueError(f"need at least 2 sites in a neighborhood, got {n_sites}")
+        raise InputError(f"need at least 2 sites in a neighborhood, got {n_sites}")
     dim = 1 << n_sites
     ops = [smc_projector(n_sites)]
     counts = excitation_counts(n_sites)
@@ -166,7 +166,7 @@ for _op in _SSC_KRAUS + _SMC_KRAUS:
 
 def smc_channel(pair, m: int) -> KrausChannel:
     """The two-site smc map on sites (j, k) of an m-qubit network."""
-    j, k = sorted(_as_site(s, m) for s in pair)
+    j, k = _as_pair(pair, m)
     return KrausChannel(_SMC_KRAUS, label=f"smc({j},{k})", sites=(j, k), m=m)
 
 

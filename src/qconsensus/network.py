@@ -8,6 +8,7 @@ from numbers import Integral, Real
 import numpy as np
 
 __all__ = [
+    "InputError",
     "NetworkTopology",
     "is_connected",
     "embed_neighborhood",
@@ -18,41 +19,67 @@ __all__ = [
 PROBABILITY_SUM_ATOL = 1e-12
 
 
+class InputError(ValueError):
+    """An argument breaks a precondition: wrong type, range, shape or arity, or an unusable graph.
+
+    Failures of an invariant of a computed state or operator stay plain
+    ValueError; the CLI exits 1 on InputError and 2 on those.
+    """
+
+
 def _as_index(value, what: str) -> int:
-    """An integer (Python or numpy) as int; bools, floats and strings raise ValueError."""
+    """An integer (Python or numpy) as int; bools, floats and strings raise InputError."""
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, Integral):
-        raise ValueError(f"{what} {value!r} is not an integer")
+        raise InputError(f"{what} {value!r} is not an integer")
     return int(value)
 
 
 def _as_real(value, what: str) -> float:
-    """A real number (Python or numpy) as float; bools, strings and complex numbers raise ValueError."""
+    """A real number (Python or numpy) as float; bools, strings and complex numbers raise InputError."""
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, Real):
-        raise ValueError(f"{what} {value!r} is not a real number (bools, strings and complex numbers are rejected)")
+        raise InputError(f"{what} {value!r} is not a real number (bools, strings and complex numbers are rejected)")
     return float(value)
 
 
+def _as_seed(value, what: str) -> int:
+    """A random seed as int; non-integers and negative integers raise InputError."""
+    seed = _as_index(value, what)
+    if seed < 0:
+        raise InputError(f"{what} {seed} is negative")
+    return seed
+
+
 def _as_site(value, m: int, what: str = "site") -> int:
-    """A 1-based site of an m-qubit register as int; non-integers and sites outside 1..m raise ValueError."""
+    """A 1-based site of an m-qubit register as int; non-integers and sites outside 1..m raise InputError."""
     site = _as_index(value, what)
     if not 1 <= site <= m:
-        raise ValueError(f"{what} {site} out of range 1..{m}")
+        raise InputError(f"{what} {site} out of range 1..{m}")
     return site
 
 
+def _as_pair(pair, m: int, what: str = "pair") -> tuple[int, int]:
+    """Two distinct sites of an m-qubit register as a sorted tuple; anything else raises InputError."""
+    sites = sorted(_as_site(s, m, f"{what} {pair} site") for s in pair)
+    if len(sites) != 2:
+        raise InputError(f"{what} {pair} has {len(sites)} sites, not 2")
+    if sites[0] == sites[1]:
+        raise InputError(f"{what} {pair} repeats a site")
+    return sites[0], sites[1]
+
+
 def _as_state(x, m: int) -> np.ndarray:
-    """x as a complex array (no copy for complex input); raises ValueError unless its shape is (2^m, 2^m)."""
+    """x as a complex array (no copy for complex input); raises InputError unless its shape is (2^m, 2^m)."""
     x = np.asarray(x, dtype=complex)
     if x.shape != (1 << m, 1 << m):
-        raise ValueError(f"shape {x.shape} does not match m={m}, expected {(1 << m, 1 << m)}")
+        raise InputError(f"shape {x.shape} does not match m={m}, expected {(1 << m, 1 << m)}")
     return x
 
 
 def _as_count(k, m: int) -> int:
-    """An excitation count of an m-qubit register as int; non-integers and counts outside 0..m raise ValueError."""
+    """An excitation count of an m-qubit register as int; non-integers and counts outside 0..m raise InputError."""
     k = _as_index(k, "excitation count")
     if not 0 <= k <= m:
-        raise ValueError(f"excitation count {k} out of range 0..{m}")
+        raise InputError(f"excitation count {k} out of range 0..{m}")
     return k
 
 
@@ -73,27 +100,22 @@ class NetworkTopology:
     def __post_init__(self):
         m = _as_index(self.m, "qubit count m")
         if m < 2:
-            raise ValueError(f"need at least 2 sites, got m={m}")
+            raise InputError(f"need at least 2 sites, got m={m}")
         object.__setattr__(self, "m", m)
-        pairs = []
-        for pair in self.neighborhoods:
-            j, k = sorted(_as_site(s, m, f"neighborhood {pair} site") for s in pair)
-            if j == k:
-                raise ValueError(f"neighborhood {pair} repeats a site")
-            pairs.append((j, k))
+        pairs = [_as_pair(pair, m, "neighborhood") for pair in self.neighborhoods]
         if len(set(pairs)) != len(pairs):
-            raise ValueError("duplicate neighborhoods")
+            raise InputError("duplicate neighborhoods")
         object.__setattr__(self, "neighborhoods", tuple(pairs))
         if self.probabilities is not None:
             q = tuple(_as_real(p, "selection probability") for p in self.probabilities)
             if len(q) != len(pairs):
-                raise ValueError(
+                raise InputError(
                     f"{len(q)} probabilities for {len(pairs)} neighborhoods"
                 )
             if any(p <= 0 for p in q):
-                raise ValueError("selection probabilities must be positive")
+                raise InputError("selection probabilities must be positive")
             if abs(sum(q) - 1.0) > PROBABILITY_SUM_ATOL:
-                raise ValueError(f"selection probabilities sum to {sum(q)!r}, not 1")
+                raise InputError(f"selection probabilities sum to {sum(q)!r}, not 1")
             object.__setattr__(self, "probabilities", q)
 
 
@@ -116,7 +138,7 @@ def _site_axes(pi, m: int) -> list[int]:
     """0-based qubit-tensor axes of the validated site permutation pi."""
     images = [_as_index(p, "permutation image") for p in pi]
     if len(images) != m or sorted(images) != list(range(1, m + 1)):
-        raise ValueError(f"{pi!r} is not a permutation of 1..{m}")
+        raise InputError(f"{pi!r} is not a permutation of 1..{m}")
     return [p - 1 for p in images]
 
 
@@ -153,10 +175,8 @@ def embed_neighborhood(op: np.ndarray, pair, m: int) -> np.ndarray:
     """
     op = np.asarray(op, dtype=complex)
     if op.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 neighborhood operator, got shape {op.shape}")
-    j, k = sorted(_as_site(s, m) for s in pair)
-    if j == k:
-        raise ValueError(f"pair {pair} repeats a site")
+        raise InputError(f"expected a 4x4 neighborhood operator, got shape {op.shape}")
+    j, k = _as_pair(pair, m)
     rest = iter(range(3, m + 1))
     images = [1 if s == j else 2 if s == k else next(rest) for s in range(1, m + 1)]
     return permute_sites(np.kron(op, np.eye(1 << (m - 2), dtype=complex)), images, m)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import _as_index, _as_site, _as_state
+from .network import InputError, _as_index, _as_real, _as_site, _as_state
 
 __all__ = [
     "I2",
@@ -58,7 +58,7 @@ def ket(amplitudes) -> np.ndarray:
     v = np.asarray(amplitudes, dtype=complex).reshape(-1)
     norm = np.linalg.norm(v)
     if norm < 1e-15:
-        raise ValueError("cannot normalize a zero vector")
+        raise InputError("cannot normalize a zero vector")
     return v / norm
 
 
@@ -66,7 +66,7 @@ def basis_ket(dim: int, index: int) -> np.ndarray:
     """Computational basis vector |index> in a dim-dimensional space."""
     index = _as_index(index, "basis index")
     if not 0 <= index < dim:
-        raise ValueError(f"basis index {index} out of range for dim {dim}")
+        raise InputError(f"basis index {index} out of range for dim {dim}")
     v = np.zeros(dim, dtype=complex)
     v[index] = 1.0
     return v
@@ -75,7 +75,7 @@ def basis_ket(dim: int, index: int) -> np.ndarray:
 def bitstring_ket(bits: str) -> np.ndarray:
     """Basis ket |b1 b2 ... bm> for a bit string, site 1 most significant."""
     if not bits or any(c not in "01" for c in bits):
-        raise ValueError(f"invalid bit string {bits!r}")
+        raise InputError(f"invalid bit string {bits!r}")
     return basis_ket(2 ** len(bits), int(bits, 2))
 
 
@@ -172,7 +172,7 @@ def partial_trace(rho: np.ndarray, m: int, keep) -> np.ndarray:
     """
     keep_set = {_as_site(s, m, "keep site") for s in keep}
     if not keep_set:
-        raise ValueError("keep set must be nonempty")
+        raise InputError("keep set must be nonempty")
     t = _as_state(rho, m).reshape((2,) * (2 * m))
     row_labels = list(range(m))
     col_labels = [i if (i + 1) not in keep_set else m + i for i in range(m)]
@@ -251,18 +251,18 @@ class KrausChannel:
     def __post_init__(self):
         ops = tuple(np.asarray(a, dtype=complex) for a in self.kraus_ops)
         if not ops:
-            raise ValueError("a channel needs at least one Kraus operator")
+            raise InputError("a channel needs at least one Kraus operator")
         local_dim = ops[0].shape[0]
         for a in ops:
             if a.ndim != 2 or a.shape != (local_dim, local_dim):
-                raise ValueError("all Kraus operators must be square with equal dims")
+                raise InputError("all Kraus operators must be square with equal dims")
         n = local_dim.bit_length() - 1
         if n < 1 or local_dim != 1 << n:
-            raise ValueError(f"Kraus operator dimension {local_dim} is not a power of 2 >= 2")
+            raise InputError(f"Kraus operator dimension {local_dim} is not a power of 2 >= 2")
         sites = tuple(range(1, n + 1)) if self.sites is None else tuple(_as_index(s, "site") for s in self.sites)
         m = n if self.m is None else _as_index(self.m, "qubit count m")
         if len(sites) != n or len(set(sites)) != n or not all(1 <= s <= m for s in sites):
-            raise ValueError(f"sites {sites} do not fit {n}-qubit operators on {m} qubits")
+            raise InputError(f"sites {sites} do not fit {n}-qubit operators on {m} qubits")
         resid = completeness_residual(ops)
         if resid > COMPLETENESS_ATOL:
             raise ValueError(
@@ -365,7 +365,7 @@ def save_matrix(path, matrix: np.ndarray) -> None:
     """Write a square complex matrix to a JSON file of [re, im] pairs."""
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
+        raise InputError(f"expected a square matrix, got shape {matrix.shape}")
     flat = matrix.reshape(-1)
     payload = {
         "dim": int(matrix.shape[0]),
@@ -377,15 +377,20 @@ def save_matrix(path, matrix: np.ndarray) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
-    """Read a matrix written by save_matrix."""
+    """Read a matrix written by save_matrix; a file that breaks the schema raises InputError."""
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    try:
-        dim = int(payload["dim"])
-        entries = payload["entries"]
-    except (TypeError, KeyError) as exc:
-        raise ValueError(f"matrix file {path} is missing 'dim' or 'entries'") from exc
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"matrix file {path} is not JSON: {exc}") from None
+    if not isinstance(payload, dict) or not isinstance(entries := payload.get("entries"), list):
+        raise InputError(f"matrix file {path} is not an object with an 'entries' list")
+    dim = _as_index(payload.get("dim"), f"matrix file {path}: dim")
     if dim < 1 or len(entries) != dim * dim:
-        raise ValueError(f"matrix file {path} has {len(entries)} entries, expected {dim * dim}")
-    flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
-    return flat.reshape(dim, dim)
+        raise InputError(f"matrix file {path} has {len(entries)} entries, expected {dim * dim} for dim {dim}")
+    what, flat = f"matrix file {path}: entry part", []
+    for n, z in enumerate(entries):
+        if not isinstance(z, list) or len(z) != 2:
+            raise InputError(f"matrix file {path}: entry {n} {z!r} is not an [re, im] pair")
+        flat.append(complex(_as_real(z[0], what), _as_real(z[1], what)))
+    return np.array(flat, dtype=complex).reshape(dim, dim)

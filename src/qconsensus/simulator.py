@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ChannelFamily, build_channels
-from .network import NetworkTopology, _as_count, _as_index, _as_site, _as_state, is_connected
+from .network import InputError, NetworkTopology, _as_count, _as_index, _as_real, _as_seed, _as_site, _as_state, is_connected
 from .qcore import (
     PSD_ATOL,
     _apply_pairs,
@@ -79,17 +79,17 @@ class Schedule:
 
     def __post_init__(self):
         if self.mode not in ("cyclic", "random"):
-            raise ValueError(f"unknown schedule mode {self.mode!r}")
+            raise InputError(f"unknown schedule mode {self.mode!r}, expected cyclic or random")
         if self.mode == "cyclic":
             if self.order is not None:
                 order = tuple(_as_index(i, "cyclic order entry") for i in self.order)
                 if not order:
-                    raise ValueError("cyclic order must be nonempty")
+                    raise InputError("cyclic order must be nonempty")
                 object.__setattr__(self, "order", order)
         elif self.seed is None:
-            raise ValueError("random schedules need a seed")
+            raise InputError("random schedules need a seed")
         else:
-            object.__setattr__(self, "seed", _as_index(self.seed, "schedule seed"))
+            object.__setattr__(self, "seed", _as_seed(self.seed, "schedule seed"))
 
     @classmethod
     def cyclic(cls, order=None) -> "Schedule":
@@ -130,11 +130,12 @@ def random_density(seed: int, dim: int) -> np.ndarray:
     The spectrum is drawn uniformly from the probability simplex and the
     eigenbasis from the rotation-invariant distribution on unitaries
     (QR orthonormalization of a complex Gaussian matrix with the standard
-    phase fix).  Deterministic for a given seed.
+    phase fix).  Deterministic for a given seed, a non-negative integer.
     """
+    dim = _as_index(dim, "dimension")
     if dim < 2:
-        raise ValueError(f"need dim >= 2, got {dim}")
-    rng = np.random.default_rng(seed)
+        raise InputError(f"need dim >= 2, got {dim}")
+    rng = np.random.default_rng(_as_seed(seed, "random_density seed"))
     spectrum = rng.dirichlet(np.ones(dim))
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
@@ -158,9 +159,9 @@ def _random_picks(topology: NetworkTopology, seed: int, steps: int) -> np.ndarra
 def _cyclic_order(schedule: Schedule, n_neighborhoods: int) -> tuple[int, ...]:
     order = schedule.order if schedule.order is not None else tuple(range(n_neighborhoods))
     if any(i < 0 or i >= n_neighborhoods for i in order):
-        raise ValueError(f"cyclic order {order} has indices outside 0..{n_neighborhoods - 1}")
+        raise InputError(f"cyclic order {order} has indices outside 0..{n_neighborhoods - 1}")
     if set(order) != set(range(n_neighborhoods)):
-        raise ValueError("cyclic order must cover every neighborhood at least once")
+        raise InputError("cyclic order must cover every neighborhood at least once")
     return order
 
 
@@ -193,7 +194,7 @@ def lyapunov_gap(family: ChannelFamily, rho: np.ndarray, m: int, *, gossip_targe
     if family.kind == "smc":
         return v_smc(rho, m)
     if gossip_target is None:
-        raise ValueError("gossip convergence needs the permutation-average target state")
+        raise InputError("gossip convergence needs the permutation-average target state")
     delta = np.asarray(rho, dtype=complex) - gossip_target
     return float(np.vdot(delta, delta).real)
 
@@ -249,8 +250,9 @@ def run(
     RunResult with one TrajectoryRecord per executed step (psd_debt holds the
     debt after the step, None without validation) and the final state.
     """
+    steps = _as_index(steps, "steps")
     if steps < 1:
-        raise ValueError(f"need steps >= 1, got {steps}")
+        raise InputError(f"need steps >= 1, got {steps}")
     m = topology.m
     rho = _as_state(rho0, m)
     debt = validate_density_matrix(rho) if validate else None
@@ -318,16 +320,17 @@ def convergence_probability(
     records, and ssc and smc trials evolve only Re(rho), all their gaps read.
     So a trial equals run(rho0, ..., Schedule.random(seed=<that seed>),
     horizon, validate=False) plus lyapunov_gap to rounding, with the same hit
-    count.  Raises ValueError on a disconnected interaction graph.
+    count.  Raises InputError on a disconnected interaction graph.
     """
-    if gamma <= 0:
-        raise ValueError(f"need gamma > 0, got {gamma}")
-    if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
-    if horizon < 0:
-        raise ValueError(f"need horizon >= 0, got {horizon}")
+    if (gamma := _as_real(gamma, "gamma")) <= 0:
+        raise InputError(f"need gamma > 0, got {gamma}")
+    if (trials := _as_index(trials, "trials")) < 1:
+        raise InputError(f"need trials >= 1, got {trials}")
+    if (horizon := _as_index(horizon, "horizon")) < 0:
+        raise InputError(f"need horizon >= 0, got {horizon}")
+    seed = _as_seed(seed, "master seed")
     if not is_connected(topology):
-        raise ValueError("convergence estimation requires a connected interaction graph")
+        raise InputError("convergence estimation requires a connected interaction graph")
     m = topology.m
     rho0 = _as_state(rho0, m)
     validate_density_matrix(rho0)
@@ -440,7 +443,7 @@ def prepare_dicke(
     m = topology.m
     target_k = _as_count(target_k, m)
     if not is_connected(topology):
-        raise ValueError("preparation requires a connected interaction graph")
+        raise InputError("preparation requires a connected interaction graph")
     state = _as_state(rho0, m)
     validate_density_matrix(state)
     log: list[MeasurementEvent] = []

@@ -14,7 +14,7 @@ from math import comb
 
 import numpy as np
 
-from .network import _as_count, _as_state, permute_sites
+from .network import InputError, _as_count, _as_state, permute_sites
 
 __all__ = [
     "dicke_ket",
@@ -84,7 +84,7 @@ def schmidt_reconstruct(m: int, k: int, m_a: int) -> np.ndarray:
     """
     k = _as_count(k, m)
     if not 1 <= m_a < m:
-        raise ValueError(f"split size {m_a} must satisfy 1 <= m_a < m={m}")
+        raise InputError(f"split size {m_a} must satisfy 1 <= m_a < m={m}")
     m_b = m - m_a
     v = np.zeros(1 << m, dtype=complex)
     for ka in range(k + 1):
@@ -107,14 +107,14 @@ def global_observable(m: int) -> np.ndarray:
     Eigenvalue on a k-excitation basis string: 2*(m - k).
     """
     if m < 1:
-        raise ValueError("need m >= 1")
+        raise InputError("need m >= 1")
     return np.diag(global_observable_diagonal(m)).astype(complex)
 
 
 def smc_projector(m: int) -> np.ndarray:
     """Projector onto span{|00...0>, |11...1>}."""
     if m < 1:
-        raise ValueError("need m >= 1")
+        raise InputError("need m >= 1")
     dim = 1 << m
     p = np.zeros((dim, dim), dtype=complex)
     p[0, 0] = 1.0

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qconsensus.cli import _wilson_interval, main
-from qconsensus.qcore import save_matrix
+from qconsensus.network import InputError
+from qconsensus.qcore import load_matrix, save_matrix
 from qconsensus.simulator import random_density
 
 BASE_CONFIG = """\
@@ -335,3 +336,56 @@ def test_run_rejects_non_numeric_fields(tmp_path, capsys, topology, family, key)
     err = capsys.readouterr().err
     assert "config error" in err and f"'{key}'" in err
     assert not list(tmp_path.glob("*.csv"))
+
+
+PATH3_YAML = "topology:\n  m: 3\n  edges: [[1, 2], [2, 3]]\n"
+DISCONNECTED3_YAML = "topology:\n  m: 3\n  edges: [[1, 2]]\n"
+RANDOM_START = "initial_state: {kind: random, seed: 3}\n"
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("run", PATH3_YAML + "family: {kind: ssc}\nschedule: {order: [0, 5]}\nsteps: 5\n" + RANDOM_START),
+        ("run", PATH3_YAML + "family: {kind: ssc}\nschedule: {order: [0, 0]}\nsteps: 5\n" + RANDOM_START),
+        ("prepare", DISCONNECTED3_YAML + RANDOM_START + "prepare: {target_k: 1, steps: 5}\n"),
+        ("convergence", DISCONNECTED3_YAML + "family: {kind: smc}\n" + RANDOM_START
+         + "convergence: {gamma: 0.1, horizon: 5, trials: 3}\n"),
+        ("run", PATH3_YAML + "family: {kind: ssc}\nsteps: 5\ninitial_state: {kind: random}\nseed: -1\n"),
+        ("run", PATH3_YAML + "family: {kind: ssc}\nsteps: 5\ninitial_state: {kind: random, seed: -1}\n"),
+        ("run", PATH3_YAML + "family: {kind: ssc}\nschedule: {mode: random, seed: -1}\nsteps: 5\n" + RANDOM_START),
+    ],
+    ids=[
+        "order-out-of-range", "order-misses-edge", "prepare-disconnected", "convergence-disconnected",
+        "negative-seed", "negative-initial-state-seed", "negative-schedule-seed",
+    ],
+)
+def test_config_mistakes_the_library_catches_exit_1(tmp_path, capsys, command, config):
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(config)
+    assert main([command, "--config", str(cfg_path), "--output-dir", str(tmp_path)]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ('{"dim": 2, "entries": [1, 2, 3, 4]}', r"entry 0 1 is not an \[re, im\] pair"),
+        ('{"dim": 2, "entries": [["a", "b"], ["a", "b"], ["a", "b"], ["a", "b"]]}', "'a' is not a real number"),
+        ('{"dim": 2.7, "entries": [[0.5, 0], [0, 0], [0, 0], [0.5, 0]]}', "dim 2.7 is not an integer"),
+        ('{"dim": true, "entries": [[1, 0]]}', "dim True is not an integer"),
+    ],
+    ids=["flat-entries", "string-entries", "float-dim", "bool-dim"],
+)
+def test_malformed_matrix_files_are_input_errors(tmp_path, capsys, payload, message):
+    path = tmp_path / "rho.json"
+    path.write_text(payload)
+    with pytest.raises(InputError, match=message):
+        load_matrix(path)
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(
+        "topology:\n  m: 2\n  edges: [[1, 2]]\n"
+        f"family: {{kind: ssc}}\nsteps: 5\ninitial_state: {{kind: file, path: '{path.as_posix()}'}}\n"
+    )
+    assert main(["run", "--config", str(cfg_path), "--output-dir", str(tmp_path)]) == 1
+    assert "config error" in capsys.readouterr().err

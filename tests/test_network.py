@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qconsensus.dynamics import gossip_channel, smc_channel, ssc_channel
 from qconsensus.network import (
+    InputError,
     NetworkTopology,
     embed_neighborhood,
     is_connected,
@@ -101,6 +103,23 @@ def test_topology_rejects_a_qubit_count_it_would_have_to_coerce(m):
 def test_embed_neighborhood_rejects_non_integer_sites():
     with pytest.raises(ValueError, match="not an integer"):
         embed_neighborhood(SWAP, (1, 2.5), 3)
+
+
+@pytest.mark.parametrize("pair, message", [((1, 2, 3), "has 3 sites, not 2"), ((2, 2), "repeats a site")], ids=["triple", "repeat"])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda pair: NetworkTopology(m=3, neighborhoods=(pair,)),
+        lambda pair: embed_neighborhood(SWAP, pair, 3),
+        lambda pair: gossip_channel(pair, 3, 0.5),
+        lambda pair: ssc_channel(pair, 3),
+        lambda pair: smc_channel(pair, 3),
+    ],
+    ids=["topology", "embed", "gossip", "ssc", "smc"],
+)
+def test_pairs_must_be_two_distinct_sites(make, pair, message):
+    with pytest.raises(InputError, match=message):
+        make(pair)
 
 
 def test_topology_normalizes_pair_order():

@@ -5,7 +5,7 @@ import pytest
 
 from qconsensus import simulator
 from qconsensus.dynamics import ChannelFamily, build_channels
-from qconsensus.network import NetworkTopology
+from qconsensus.network import InputError, NetworkTopology
 from qconsensus.qcore import (
     _apply_pairs,
     apply_channel,
@@ -43,13 +43,33 @@ def test_schedule_validation():
     assert Schedule.random(seed=3).seed == 3
 
 
+def _smc_estimate(**overrides):
+    args = dict(gamma=0.1, horizon=5, trials=3, seed=1) | overrides
+    return convergence_probability(random_density(1, 8), PATH3, ChannelFamily.smc(), **args)
+
+
 @pytest.mark.parametrize(
     "make",
-    [lambda: Schedule.cyclic((0.7, 1)), lambda: Schedule.cyclic(("0", 1)), lambda: Schedule.cyclic((True, 0)), lambda: Schedule.random(seed=2.5)],
-    ids=["order-float", "order-str", "order-bool", "seed-float"],
+    [
+        lambda: Schedule.cyclic((0.7, 1)),
+        lambda: Schedule.cyclic(("0", 1)),
+        lambda: Schedule.cyclic((True, 0)),
+        lambda: Schedule.random(seed=2.5),
+        lambda: run(random_density(1, 8), PATH3, ChannelFamily.ssc(), Schedule.cyclic(), True),
+        lambda: run(random_density(1, 8), PATH3, ChannelFamily.ssc(), Schedule.cyclic(), 2.0),
+        lambda: _smc_estimate(trials=True),
+        lambda: _smc_estimate(trials=3.0),
+        lambda: _smc_estimate(horizon=5.0),
+        lambda: random_density(1, 4.0),
+        lambda: random_density(1, True),
+    ],
+    ids=[
+        "order-float", "order-str", "order-bool", "seed-float", "steps-bool", "steps-float",
+        "trials-bool", "trials-float", "horizon-float", "dim-float", "dim-bool",
+    ],
 )
 def test_schedule_rejects_values_it_would_have_to_coerce(make):
-    with pytest.raises(ValueError, match="not an integer"):
+    with pytest.raises(InputError, match="not an integer"):
         make()
 
 
@@ -206,6 +226,19 @@ def test_convergence_probability_smc_short():
 def test_convergence_probability_rejects_bad_gamma():
     with pytest.raises(ValueError):
         convergence_probability(random_density(1, 8), PATH3, ChannelFamily.smc(), 0.0, 10, 5, 1)
+    for gamma in (True, "0.1"):
+        with pytest.raises(InputError, match="not a real number"):
+            _smc_estimate(gamma=gamma)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: Schedule.random(-1), lambda: random_density(-1, 4), lambda: _smc_estimate(seed=-1)],
+    ids=["schedule", "random_density", "convergence_probability"],
+)
+def test_seeds_must_be_non_negative(make):
+    with pytest.raises(InputError, match="seed -1 is negative"):
+        make()
 
 
 def test_convergence_probability_deterministic():
