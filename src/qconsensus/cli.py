@@ -1,10 +1,12 @@
 """Command line front end: run, compare, prepare, verify, convergence.
 
-Experiments are described by a YAML config file (print the schema with
-`qconsensus --print-schema`).  Exit codes: 0 success; 1 usage error or
-InputError, which this module raises for a malformed config and the library
-for a bad argument; 2 failed verification, or any other ValueError,
-FloatingPointError or LinAlgError (a numeric invariant violation).
+Experiments are described by a YAML config file.  CONFIG_SCHEMA, printed by
+`qconsensus --print-schema`, is also the config's key list: a key it lacks is
+an InputError, and each config command checks its whole config and output
+name before it evolves a state.  Exit codes: 0 success; 1 usage error or
+InputError (a malformed config or a bad library argument); 2 failed
+verification, or any other ValueError, FloatingPointError or LinAlgError (a
+numeric invariant violation).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .dynamics import ChannelFamily, certify_family
+from .dynamics import FAMILY_KINDS, ChannelFamily, certify_family
 from .network import InputError, NetworkTopology, _as_index, _as_real, _as_seed
 from .qcore import bitstring_ket, ket_to_density, load_matrix, purity
 from .simulator import (
@@ -76,20 +78,37 @@ convergence:                 # `convergence` subcommand only
 # smc_population, pop_dicke_0 ... pop_dicke_m (12 significant digits).
 """
 
+SCHEMA = yaml.load(CONFIG_SCHEMA, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))  # libyaml: ~10x faster
 DEFAULT_SEED = 0
 
 
-def _load_config(path: str) -> dict:
+def _check_keys(cfg: dict) -> None:
+    """Raise InputError on the first key, top-level or in a section, that SCHEMA does not list."""
+    sections = {name: keys for name, keys in SCHEMA.items() if isinstance(keys, dict)}
+    for name, value in cfg.items():
+        unknown = [] if name in SCHEMA else [(name, name)]
+        if name in sections and isinstance(value, dict):
+            unknown += [(f"{name}.{key}", key) for key in value if key not in sections[name]]
+        for dotted, key in unknown:
+            homes = " or ".join(f"'{s}.{key}'" for s, keys in sections.items() if key in keys)
+            raise InputError(f"unknown config key '{dotted}'" + (f"; did you mean {homes}?" if homes else ""))
+
+
+def _load(args):
+    """A config command's checked config, master seed, topology and initial state."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(args.config, "r", encoding="utf-8") as fh:
             cfg = yaml.safe_load(fh)
     except OSError as exc:
-        raise InputError(f"cannot read config {path}: {exc}") from exc
+        raise InputError(f"cannot read config {args.config}: {exc}") from exc
     except yaml.YAMLError as exc:
-        raise InputError(f"invalid YAML in {path}: {exc}") from exc
+        raise InputError(f"invalid YAML in {args.config}: {exc}") from exc
     if not isinstance(cfg, dict):
-        raise InputError(f"config {path} must be a mapping at the top level")
-    return cfg
+        raise InputError(f"config {args.config} must be a mapping at the top level")
+    _check_keys(cfg)
+    seed = _as_seed(cfg.get("seed", DEFAULT_SEED) if args.seed is None else args.seed, "'seed'")
+    topology = _build_topology(cfg)
+    return cfg, seed, topology, _build_initial_state(cfg, topology.m, seed)
 
 
 def _section(cfg: dict, key: str, required: bool = True) -> dict:
@@ -129,25 +148,22 @@ def _build_topology(cfg: dict) -> NetworkTopology:
     return NetworkTopology(m=m, neighborhoods=tuple(pairs), probabilities=probabilities)
 
 
-def _build_family(cfg: dict) -> ChannelFamily:
-    section = _section(cfg, "family")
+def _build_family(cfg: dict, kind: str | None = None) -> ChannelFamily:
+    """The config's family, or the given kind with the config's alpha (the section is then optional)."""
+    section = _section(cfg, "family", required=kind is None)
     alpha = section.get("alpha")
-    return ChannelFamily(section.get("kind"), None if alpha is None else _as_real(alpha, "'family.alpha'"))
+    return ChannelFamily(kind or section.get("kind"), None if alpha is None else _as_real(alpha, "'family.alpha'"))
 
 
 def _build_schedule(cfg: dict, master_seed: int) -> Schedule:
     section = _section(cfg, "schedule", required=False)
-    if "probabilities" in section:
-        raise InputError("'schedule.probabilities' is not a schedule key; set selection weights in 'topology.probabilities'")
     mode = section.get("mode", "cyclic")
-    if mode == "random":
-        return Schedule.random(seed=_int_value(section, "seed", "schedule", master_seed))
-    order = section.get("order")
+    order, seed = section.get("order"), section.get("seed", master_seed if mode == "random" else None)
     if order is not None:
         if not isinstance(order, list):
             raise InputError(f"'schedule.order' must be a list of edge indices, got {order!r}")
         order = tuple(_as_index(i, f"'schedule.order[{n}]'") for n, i in enumerate(order))
-    return Schedule(mode, order)
+    return Schedule(mode, order, None if seed is None else _as_index(seed, "'schedule.seed'"))
 
 
 def _build_initial_state(cfg: dict, m: int, master_seed: int) -> np.ndarray:
@@ -173,23 +189,37 @@ def _build_initial_state(cfg: dict, m: int, master_seed: int) -> np.ndarray:
     raise InputError(f"'initial_state.kind' must be basis, dicke, random, or file, got {kind!r}")
 
 
-def _master_seed(cfg: dict, override) -> int:
-    return _as_seed(cfg.get("seed", DEFAULT_SEED) if override is None else override, "'seed'")
-
-
-def _output_path(cfg: dict, args, default_name: str) -> Path:
-    name = cfg.get("output", default_name)
-    if not isinstance(name, str) or not name:
+def _output_name(cfg: dict, default: str) -> str:
+    """The config's output file name; a directory goes in --output-dir, not in the name."""
+    name = cfg.get("output", default)
+    if not isinstance(name, str) or not name or Path(name).name != name:
         raise InputError(f"'output' must be a file name, got {name!r}")
-    out_dir = Path(args.output_dir) if args.output_dir else Path(".")
+    return name
+
+
+def _write_csv(args, name: str, records, m: int) -> None:
+    out_dir = Path(args.output_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir / name
+    write_trajectory_csv(records, m, out_dir / name)
+    print(f"wrote {out_dir / name}")
 
 
-def _print_summary(rho: np.ndarray, m: int, records) -> None:
-    report = consensus_report(rho, m)
-    last = records[-1]
-    print(f"steps executed:       {len(records)}")
+def _run_to_csv(args, name: str, rho0, topology, family, schedule, steps: int):
+    """One `run` trajectory, written to the CSV file `name` in the output directory."""
+    result = run(rho0, topology, family, schedule, steps, early_stop=args.early_stop)
+    _write_csv(args, name, result.records, topology.m)
+    return result
+
+
+def cmd_run(args) -> int:
+    cfg, seed, topology, rho0 = _load(args)
+    family = _build_family(cfg)
+    schedule = _build_schedule(cfg, seed)
+    steps = _int_value(cfg, "steps", "config")
+    name = _output_name(cfg, f"{family.kind}_trajectory.csv")
+    result = _run_to_csv(args, name, rho0, topology, family, schedule, steps)
+    report, last = consensus_report(result.final_state, topology.m), result.records[-1]
+    print(f"steps executed:       {len(result.records)}")
     print(f"final purity:         {last.purity:.6g}")
     print(f"final s_expectation:  {last.s_expectation:.6g}")
     print(f"final v_total:        {last.v_total:.6g}")
@@ -197,53 +227,19 @@ def _print_summary(rho: np.ndarray, m: int, records) -> None:
     print(f"ssc residual:         {report.ssc_residual:.3e}")
     print(f"smc population:       {report.smc_population:.6g} "
           f"(pairwise residual {report.smc_pairwise_residual:.3e})")
-
-
-def cmd_run(args) -> int:
-    cfg = _load_config(args.config)
-    seed = _master_seed(cfg, args.seed)
-    topology = _build_topology(cfg)
-    family = _build_family(cfg)
-    schedule = _build_schedule(cfg, seed)
-    steps = _int_value(cfg, "steps", "config")
-    rho0 = _build_initial_state(cfg, topology.m, seed)
-    result = run(rho0, topology, family, schedule, steps, early_stop=args.early_stop)
-    out = _output_path(cfg, args, f"{family.kind}_trajectory.csv")
-    write_trajectory_csv(result.records, topology.m, out)
-    print(f"wrote {out}")
-    _print_summary(result.final_state, topology.m, result.records)
     return 0
 
 
 def cmd_compare(args) -> int:
-    cfg = _load_config(args.config)
-    seed = _master_seed(cfg, args.seed)
-    topology = _build_topology(cfg)
+    cfg, seed, topology, rho0 = _load(args)
     schedule = _build_schedule(cfg, seed)
     steps = _int_value(cfg, "steps", "config")
-    rho0 = _build_initial_state(cfg, topology.m, seed)
-    # compare runs all three families; only 'family.alpha' is read, for gossip.
-    gossip_section = {**_section(cfg, "family", required=False), "kind": "gossip"}
-    families = [
-        _build_family({"family": gossip_section}),
-        ChannelFamily.ssc(),
-        ChannelFamily.smc(),
-    ]
-    stem = cfg.get("output")
-    if stem is not None and (not isinstance(stem, str) or not stem):
-        raise InputError(f"'output' must be a file name, got {stem!r}")
+    families = [_build_family(cfg, "gossip"), ChannelFamily.ssc(), ChannelFamily.smc()]
+    base = Path(_output_name(cfg, "compare.csv"))
     finals = {}
     for family in families:
-        if stem is None:
-            name = f"compare_{family.kind}.csv"
-        else:
-            base = Path(stem)
-            name = f"{base.stem}_{family.kind}{base.suffix or '.csv'}"
-        result = run(rho0, topology, family, schedule, steps, early_stop=args.early_stop)
-        out = _output_path({}, args, name)
-        write_trajectory_csv(result.records, topology.m, out)
-        finals[family.kind] = result
-        print(f"wrote {out}")
+        name = f"{base.stem}_{family.kind}{base.suffix or '.csv'}"
+        finals[family.kind] = _run_to_csv(args, name, rho0, topology, family, schedule, steps)
     print(f"initial purity: {purity(rho0):.6g}")
     print("family   final_purity  final_v_total  final_v_smc")
     for kind, result in finals.items():
@@ -253,23 +249,17 @@ def cmd_compare(args) -> int:
 
 
 def cmd_prepare(args) -> int:
-    cfg = _load_config(args.config)
-    seed = _master_seed(cfg, args.seed)
-    topology = _build_topology(cfg)
+    cfg, seed, topology, rho0 = _load(args)
     section = _section(cfg, "prepare")
     target_k = _int_value(section, "target_k", "prepare")
     use_s = section.get("use_s_measurement", False)
     if not isinstance(use_s, bool):
         raise InputError(f"'prepare.use_s_measurement' must be true or false, got {use_s!r}")
     steps = _int_value(section, "steps", "prepare", 300)
-    rho0 = _build_initial_state(cfg, topology.m, seed)
+    name = _output_name(cfg, f"prepare_k{target_k}.csv")
     rng = np.random.default_rng(seed)
-    result = prepare_dicke(
-        rho0, target_k, topology, rng, use_s_measurement=use_s, steps=steps
-    )
-    out = _output_path(cfg, args, f"prepare_k{target_k}.csv")
-    write_trajectory_csv(result.records, topology.m, out)
-    print(f"wrote {out}")
+    result = prepare_dicke(rho0, target_k, topology, rng, use_s_measurement=use_s, steps=steps)
+    _write_csv(args, name, result.records, topology.m)
     print("measurement log:")
     for event in result.measurement_log:
         where = "network" if event.site is None else f"site {event.site}"
@@ -279,15 +269,12 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_convergence(args) -> int:
-    cfg = _load_config(args.config)
-    seed = _master_seed(cfg, args.seed)
-    topology = _build_topology(cfg)
+    cfg, seed, topology, rho0 = _load(args)
     family = _build_family(cfg)
     section = _section(cfg, "convergence")
     gamma = _as_real(section.get("gamma"), "'convergence.gamma'")
     horizon = _int_value(section, "horizon", "convergence")
     trials = _int_value(section, "trials", "convergence")
-    rho0 = _build_initial_state(cfg, topology.m, seed)
     estimate = convergence_probability(rho0, topology, family, gamma, horizon, trials, seed)
     low, high = _wilson_interval(estimate, trials)
     print(f"P[lyapunov gap < {gamma:g} at horizon {horizon}] ~= {estimate:.4f} "
@@ -339,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_config_command("convergence", cmd_convergence, "Monte-Carlo convergence probability")
 
     v = sub.add_parser("verify", help="certify a channel family's invariants for all states on a complete graph")
-    v.add_argument("--family", required=True, choices=["gossip", "ssc", "smc"])
+    v.add_argument("--family", required=True, choices=FAMILY_KINDS)
     v.add_argument("--m", required=True, type=int, help="number of qubits (2..6)")
     v.add_argument("--alpha", type=float, default=None, help="gossip mixing weight (default 0.5)")
     v.set_defaults(func=cmd_verify)

@@ -35,9 +35,11 @@ def _as_index(value, what: str) -> int:
 
 
 def _as_real(value, what: str) -> float:
-    """A real number (Python or numpy) as float; bools, strings and complex numbers raise InputError."""
+    """A finite real (Python or numpy) as float; bools, strings, complex numbers, NaN and inf raise InputError."""
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, Real):
         raise InputError(f"{what} {value!r} is not a real number (bools, strings and complex numbers are rejected)")
+    if not np.isfinite(float(value)):
+        raise InputError(f"{what} {value!r} is not a finite number")
     return float(value)
 
 

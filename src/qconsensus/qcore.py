@@ -57,8 +57,8 @@ def ket(amplitudes) -> np.ndarray:
     """Normalized state vector from a sequence of complex amplitudes."""
     v = np.asarray(amplitudes, dtype=complex).reshape(-1)
     norm = np.linalg.norm(v)
-    if norm < 1e-15:
-        raise InputError("cannot normalize a zero vector")
+    if not norm >= 1e-15:
+        raise InputError(f"cannot normalize a vector of norm {norm}")
     return v / norm
 
 
@@ -98,9 +98,9 @@ def _gamma(n: int) -> float:
 
 
 def check_trace(rho: np.ndarray) -> None:
-    """Raise ValueError unless |Tr(rho) - 1| <= TRACE_ATOL; reads only the diagonal."""
+    """Raise ValueError unless |Tr(rho) - 1| <= TRACE_ATOL (so a NaN trace fails); reads only the diagonal."""
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > TRACE_ATOL:
+    if not abs(tr - 1.0) <= TRACE_ATOL:
         raise ValueError(f"trace {tr:.12g} deviates from 1 by more than {TRACE_ATOL:.1e}")
 
 
@@ -137,8 +137,9 @@ def validate_density_matrix(rho: np.ndarray) -> float:
     skew = rho - rho.conj().T
     skew_norm = np.sqrt(np.vdot(skew, skew).real)
     # The max-abs residual is at most the Frobenius norm, so the entrywise
-    # scan runs only when the norm alone cannot pass the state.
-    if skew_norm > HERMITICITY_ATOL and (herm := float(np.max(np.abs(skew)))) > HERMITICITY_ATOL:
+    # scan runs only when the norm alone cannot pass the state.  Each check
+    # is written to pass only a number within tolerance, so NaN fails.
+    if not skew_norm <= HERMITICITY_ATOL and not (herm := float(np.max(np.abs(skew)))) <= HERMITICITY_ATOL:
         raise ValueError(f"not Hermitian: residual {herm:.3e} > {HERMITICITY_ATOL:.1e}")
     check_trace(rho)
     d = len(rho)
@@ -154,7 +155,7 @@ def validate_density_matrix(rho: np.ndarray) -> float:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         eigs = np.linalg.eigvalsh(shifted) - shift
-        if eigs[0] < -PSD_ATOL:
+        if not eigs[0] >= -PSD_ATOL:
             raise ValueError(f"not positive semidefinite: min eigenvalue {eigs[0]:.3e}") from None
         return float(floor - eigs[eigs < 0].sum())
     return float(d * shift + floor)
@@ -196,10 +197,10 @@ def expectation(rho: np.ndarray, x: np.ndarray) -> float:
     """Tr(rho X) for a Hermitian observable X; rejects non-Hermitian input."""
     x = np.asarray(x, dtype=complex)
     resid = hermiticity_residual(x)
-    if resid > HERMITICITY_ATOL:
+    if not resid <= HERMITICITY_ATOL:
         raise ValueError(f"observable is not Hermitian: residual {resid:.3e}")
     val = complex(np.einsum("ij,ji->", np.asarray(rho, dtype=complex), x))
-    if abs(val.imag) > 1e-9:
+    if not abs(val.imag) <= 1e-9:
         raise ValueError(f"expectation has imaginary part {val.imag:.3e}")
     return float(val.real)
 
@@ -264,7 +265,7 @@ class KrausChannel:
         if len(sites) != n or len(set(sites)) != n or not all(1 <= s <= m for s in sites):
             raise InputError(f"sites {sites} do not fit {n}-qubit operators on {m} qubits")
         resid = completeness_residual(ops)
-        if resid > COMPLETENESS_ATOL:
+        if not resid <= COMPLETENESS_ATOL:
             raise ValueError(
                 f"Kraus operators are not complete: residual {resid:.3e} > {COMPLETENESS_ATOL:.1e}"
             )
@@ -330,22 +331,26 @@ def apply_error_bound(channel: KrausChannel) -> float:
     """Trace-norm bound, per unit ||rho||_F, on the error of one apply_channel.
 
     Let E be the exactly CPTP map whose superoperator the stored one
-    approximates.  Every output entry of _apply_pairs is a real 16-term dot
-    product of a row of the stored superoperator S with a column of the
+    approximates.  For a channel on n sites, every output entry of
+    _apply_pairs is a real N-term dot product, N = 4^n = len(S) (16 for a
+    pair), of a row of the stored superoperator S with a column of the
     float64 view x of rho (its copies are exact), so
-    |fl(S x) - S x| <= gamma_16 |S| |x| (Higham, 2nd ed., Sec. 3.5).  The
+    |fl(S x) - S x| <= gamma_N |S| |x| (Higham, 2nd ed., Sec. 3.5).  The
     stored S is within 5u entrywise of E's superoperator (0 for ssc, at most
     2u for smc and 2.7u measured for gossip; 5u is the worst case of
     rounding 1 - alpha, its square root, the square and the sum), and
-    gamma_16 + 5u/(1 - 5u) <= gamma_21.  Column by column the error is then at
-    most gamma_21 || |S| ||_2 ||x||_F in Frobenius norm, with ||x||_F = ||rho||_F,
-    and ||X||_1 <= sqrt(d) ||X||_F.  The result is sqrt(d) gamma_21 times
-    sqrt(||S||_1 ||S||_inf), the product of the largest column and row sums
-    of |S|, which bounds || |S| ||_2 (equal for all three families) without
-    an SVD.  It holds for a real superoperator, as for all three families.
+    gamma_N + 5u/(1 - 5u) <= gamma_{N+5}.  Column by column the error is then
+    at most gamma_{N+5} || |S| ||_2 ||x||_F in Frobenius norm, with
+    ||x||_F = ||rho||_F, and ||X||_1 <= sqrt(d) ||X||_F.  The result is
+    sqrt(d) gamma_{N+5} times sqrt(||S||_1 ||S||_inf), the product of the
+    largest column and row sums of |S|, which bounds || |S| ||_2 (equal for
+    all three families) without an SVD.  The argument needs a real S, as
+    for all three families; a complex one raises InputError.
     """
+    if channel.superop.dtype == complex:
+        raise InputError(f"apply_error_bound needs a real superoperator, got a complex one ({channel.label!r})")
     a = np.abs(channel.superop)
-    return float(np.sqrt(channel.dim) * _gamma(21) * np.sqrt(a.sum(0).max() * a.sum(1).max()))
+    return float(np.sqrt(channel.dim) * _gamma(len(a) + 5) * np.sqrt(a.sum(0).max() * a.sum(1).max()))
 
 
 def dual_apply(channel: KrausChannel, x: np.ndarray) -> np.ndarray:

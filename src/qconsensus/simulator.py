@@ -70,7 +70,8 @@ class Schedule:
     list); the order must cover every neighborhood at least once, and `None`
     means plain round robin.  Random mode draws independently each step from
     the topology's selection weights (uniform if unset), using a generator
-    seeded with `seed`.
+    seeded with `seed`.  Each mode takes only its own field: a cyclic seed or
+    a random order raises InputError.
     """
 
     mode: str
@@ -81,11 +82,15 @@ class Schedule:
         if self.mode not in ("cyclic", "random"):
             raise InputError(f"unknown schedule mode {self.mode!r}, expected cyclic or random")
         if self.mode == "cyclic":
+            if self.seed is not None:
+                raise InputError(f"cyclic schedules take no seed, got {self.seed!r}")
             if self.order is not None:
                 order = tuple(_as_index(i, "cyclic order entry") for i in self.order)
                 if not order:
                     raise InputError("cyclic order must be nonempty")
                 object.__setattr__(self, "order", order)
+        elif self.order is not None:
+            raise InputError(f"random schedules take no order, got {self.order!r}")
         elif self.seed is None:
             raise InputError("random schedules need a seed")
         else:

@@ -131,12 +131,12 @@ def is_ssc(rho: np.ndarray, m: int, tol: float = 1e-9) -> tuple[bool, float]:
     generators suffices.
     """
     rho = _as_state(rho, m)
-    residual = 0.0
+    residual = 0.0  # np.maximum, unlike max, keeps a NaN, so garbage never reads as consensus
     for i in range(1, m):
         images = list(range(1, m + 1))
         images[i - 1], images[i] = images[i], images[i - 1]
-        residual = max(residual, float(np.max(np.abs(permute_sites(rho, images, m) - rho))))
-    return residual <= tol, residual
+        residual = np.maximum(residual, np.max(np.abs(permute_sites(rho, images, m) - rho)))
+    return bool(residual <= tol), float(residual)
 
 
 def is_smc(rho: np.ndarray, m: int, tol: float = 1e-9) -> tuple[bool, float, float]:
@@ -156,8 +156,8 @@ def is_smc(rho: np.ndarray, m: int, tol: float = 1e-9) -> tuple[bool, float, flo
         masks = (site_bits(m) == j).astype(float)
         singles = diag @ masks
         joint = (masks * diag[:, None]).T @ masks
-        residual = max(residual, float(np.max(np.abs(joint - singles)[off_diagonal], initial=0.0)))
-    return population >= 1.0 - tol, population, residual
+        residual = np.maximum(residual, np.max(np.abs(joint - singles)[off_diagonal], initial=0.0))
+    return population >= 1.0 - tol, population, float(residual)
 
 
 def v_dicke(rho: np.ndarray, m: int, k: int) -> float:

@@ -10,10 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qconsensus import simulator
-from qconsensus.dynamics import ChannelFamily, build_channels, gossip_channel, smc_channel, ssc_channel
-from qconsensus.network import NetworkTopology
+from qconsensus.dynamics import (
+    ChannelFamily,
+    build_channels,
+    gossip_channel,
+    smc_channel,
+    smc_neighborhood_channel,
+    ssc_channel,
+)
+from qconsensus.network import InputError, NetworkTopology
 from qconsensus.qcore import (
     PSD_ATOL,
+    KrausChannel,
     apply_channel,
     apply_error_bound,
     bitstring_ket,
@@ -104,23 +112,34 @@ def test_stored_superoperators_are_within_five_units_of_exact_maps(alpha):
                 assert abs(stored - want) <= 5 * U * abs(want)
 
 
-@pytest.mark.parametrize("kind", sorted(FAMILIES))
+@pytest.mark.parametrize("kind", [*sorted(FAMILIES), "smc3"])
 @pytest.mark.parametrize("m", [3, 6])
 def test_apply_error_bound_covers_the_rounding_of_one_step(kind, m):
     # Reference: the exact map evaluated in extended precision on the same input.
-    alpha = FAMILIES[kind].alpha
+    # smc3 is the 3-site smc map (64-term products); its entries are multiples of 1/3.
+    alpha = FAMILIES[kind].alpha if kind in FAMILIES else None
     for seed in range(4):
         rho = random_density(seed, 1 << m)
-        channel = build_channels(FAMILIES[kind], ring(m))[seed % m]
+        if kind == "smc3":
+            sites = tuple(1 + (seed + i) % m for i in range(3))
+            channel = KrausChannel(smc_neighborhood_channel(3).kraus_ops, sites=sites, m=m)
+        else:
+            channel = build_channels(FAMILIES[kind], ring(m))[seed % m]
         if alpha is None:
-            exact = np.round(4 * channel.superop).astype(np.longdouble) / 4
+            exact = np.round(12 * channel.superop).astype(np.longdouble) / 12
         else:
             a = np.longdouble(alpha)
             exact = (1 - a) * np.eye(16, dtype=np.longdouble) + a * np.kron(SWAP, SWAP).astype(np.longdouble)
-        view = rho.astype(np.clongdouble).reshape((2,) * (2 * m)).transpose(channel.perm).reshape(16, -1)
+        view = rho.astype(np.clongdouble).reshape((2,) * (2 * m)).transpose(channel.perm).reshape(len(exact), -1)
         reference = (exact @ view).reshape((2,) * (2 * m)).transpose(channel.inverse_perm).reshape(rho.shape)
         error = (apply_channel(channel, rho, validate=False) - reference).astype(complex)
         assert np.linalg.norm(error, "nuc") <= apply_error_bound(channel) * np.sqrt(purity(rho))
+
+
+def test_apply_error_bound_rejects_a_complex_superoperator():
+    phase = KrausChannel((np.diag([1, 1j]),), label="phase")
+    with pytest.raises(InputError, match="complex"):
+        apply_error_bound(phase)
 
 
 def partially_transposed(channel):

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from qconsensus import cli
 from qconsensus.cli import _wilson_interval, main
 from qconsensus.network import InputError
 from qconsensus.qcore import load_matrix, save_matrix
@@ -279,6 +280,11 @@ def test_prepare_rejects_non_boolean_s_measurement(tmp_path, capsys, flag):
     assert "use_s_measurement" in capsys.readouterr().err
 
 
+PATH3_YAML = "topology:\n  m: 3\n  edges: [[1, 2], [2, 3]]\n"
+DISCONNECTED3_YAML = "topology:\n  m: 3\n  edges: [[1, 2]]\n"
+RANDOM_START = "initial_state: {kind: random, seed: 3}\n"
+
+
 def test_run_rejects_schedule_probabilities(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text(
@@ -289,6 +295,49 @@ def test_run_rejects_schedule_probabilities(tmp_path, capsys):
     assert main(["run", "--config", str(cfg_path), "--output-dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "topology.probabilities" in err
+
+
+@pytest.mark.parametrize(
+    "command, config, key",
+    [
+        ("prepare", PATH3_YAML + RANDOM_START + "prepare: {target_k: 1, step: 10}\n", "prepare.step"),
+        ("run", PATH3_YAML + "  probabilites: [0.9, 0.1]\nfamily: {kind: ssc}\nsteps: 5\n" + RANDOM_START,
+         "topology.probabilites"),
+        ("run", PATH3_YAML + "family: {kind: ssc}\nsteps: 5\n" + RANDOM_START + "outptu: x.csv\n", "outptu"),
+        ("run", PATH3_YAML + "family: {kind: ssc}\nsteps: 5\ninitial_state: {kind: random, sed: 3}\n",
+         "initial_state.sed"),
+    ],
+    ids=["prepare-step", "topology-probabilites", "top-level-outptu", "initial-state-sed"],
+)
+def test_unknown_config_keys_are_config_errors(tmp_path, capsys, command, config, key):
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(config)
+    assert main([command, "--config", str(cfg_path), "--output-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and f"unknown config key '{key}'" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "command, config, output",
+    [
+        ("run", PATH3_YAML + "family: {kind: smc}\nsteps: 400\n" + RANDOM_START, 5),
+        ("prepare", PATH3_YAML + RANDOM_START + "prepare: {target_k: 1, steps: 400}\n", 5),
+        ("run", PATH3_YAML + "family: {kind: smc}\nsteps: 400\n" + RANDOM_START, "sub/traj.csv"),
+        ("compare", PATH3_YAML + "steps: 400\n" + RANDOM_START, "sub/traj.csv"),
+    ],
+    ids=["run", "prepare", "run-directory", "compare-directory"],
+)
+def test_bad_output_name_fails_before_the_library_runs(tmp_path, capsys, monkeypatch, command, config, output):
+    def not_called(*args, **kwargs):
+        raise AssertionError("the output name must be checked before the trajectory runs")
+
+    monkeypatch.setattr(cli, "run", not_called)
+    monkeypatch.setattr(cli, "prepare_dicke", not_called)
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(f"{config}output: {output}\n")
+    assert main([command, "--config", str(cfg_path), "--output-dir", str(tmp_path)]) == 1
+    assert f"'output' must be a file name, got {output!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -323,8 +372,14 @@ def test_run_rejects_non_integer_fields(tmp_path, capsys, edges, schedule, key):
         ("edges: [[1, 2], [2, 3]]\n  probabilities: 0.5", "{kind: ssc}", "topology.probabilities"),
         ("edges: [[1, 2], [2, 3]]", "{kind: gossip, alpha: '0.3'}", "family.alpha"),
         ("edges: [[1, 2], [2, 3]]", "{kind: gossip, alpha: true}", "family.alpha"),
+        ("edges: [[1, 2], [2, 3]]\n  probabilities: [.nan, .nan]", "{kind: ssc}", "topology.probabilities[0]"),
+        ("edges: [[1, 2], [2, 3]]\n  probabilities: [.inf, 0.5]", "{kind: ssc}", "topology.probabilities[0]"),
+        ("edges: [[1, 2], [2, 3]]", "{kind: gossip, alpha: .nan}", "family.alpha"),
     ],
-    ids=["probability-str", "probability-bool", "probabilities-scalar", "alpha-str", "alpha-bool"],
+    ids=[
+        "probability-str", "probability-bool", "probabilities-scalar", "alpha-str", "alpha-bool",
+        "probability-nan", "probability-inf", "alpha-nan",
+    ],
 )
 def test_run_rejects_non_numeric_fields(tmp_path, capsys, topology, family, key):
     cfg_path = tmp_path / "cfg.yaml"
@@ -338,11 +393,6 @@ def test_run_rejects_non_numeric_fields(tmp_path, capsys, topology, family, key)
     assert not list(tmp_path.glob("*.csv"))
 
 
-PATH3_YAML = "topology:\n  m: 3\n  edges: [[1, 2], [2, 3]]\n"
-DISCONNECTED3_YAML = "topology:\n  m: 3\n  edges: [[1, 2]]\n"
-RANDOM_START = "initial_state: {kind: random, seed: 3}\n"
-
-
 @pytest.mark.parametrize(
     "command, config",
     [
@@ -354,10 +404,18 @@ RANDOM_START = "initial_state: {kind: random, seed: 3}\n"
         ("run", PATH3_YAML + "family: {kind: ssc}\nsteps: 5\ninitial_state: {kind: random}\nseed: -1\n"),
         ("run", PATH3_YAML + "family: {kind: ssc}\nsteps: 5\ninitial_state: {kind: random, seed: -1}\n"),
         ("run", PATH3_YAML + "family: {kind: ssc}\nschedule: {mode: random, seed: -1}\nsteps: 5\n" + RANDOM_START),
+        ("convergence", PATH3_YAML + "family: {kind: smc}\n" + RANDOM_START
+         + "convergence: {gamma: .nan, horizon: 5, trials: 3}\n"),
+        ("convergence", PATH3_YAML + "family: {kind: smc}\n" + RANDOM_START
+         + "convergence: {gamma: .inf, horizon: 5, trials: 3}\n"),
+        ("run", PATH3_YAML + "family: {kind: ssc}\nschedule: {mode: random, order: [1, 0], seed: 4}\nsteps: 5\n"
+         + RANDOM_START),
+        ("run", PATH3_YAML + "family: {kind: ssc}\nschedule: {mode: cyclic, seed: 5}\nsteps: 5\n" + RANDOM_START),
     ],
     ids=[
         "order-out-of-range", "order-misses-edge", "prepare-disconnected", "convergence-disconnected",
         "negative-seed", "negative-initial-state-seed", "negative-schedule-seed",
+        "gamma-nan", "gamma-inf", "random-schedule-order", "cyclic-schedule-seed",
     ],
 )
 def test_config_mistakes_the_library_catches_exit_1(tmp_path, capsys, command, config):
@@ -374,8 +432,9 @@ def test_config_mistakes_the_library_catches_exit_1(tmp_path, capsys, command, c
         ('{"dim": 2, "entries": [["a", "b"], ["a", "b"], ["a", "b"], ["a", "b"]]}', "'a' is not a real number"),
         ('{"dim": 2.7, "entries": [[0.5, 0], [0, 0], [0, 0], [0.5, 0]]}', "dim 2.7 is not an integer"),
         ('{"dim": true, "entries": [[1, 0]]}', "dim True is not an integer"),
+        ('{"dim": 2, "entries": [[NaN, 0], [0, 0], [0, 0], [0.5, 0]]}', "nan is not a finite number"),
     ],
-    ids=["flat-entries", "string-entries", "float-dim", "bool-dim"],
+    ids=["flat-entries", "string-entries", "float-dim", "bool-dim", "nan-entry"],
 )
 def test_malformed_matrix_files_are_input_errors(tmp_path, capsys, payload, message):
     path = tmp_path / "rho.json"

@@ -11,6 +11,7 @@ from qconsensus.qcore import (
     basis_ket,
     bitstring_ket,
     check_cptp,
+    check_trace,
     completeness_residual,
     dual_apply,
     expectation,
@@ -125,6 +126,30 @@ def test_validate_density_matrix_rejects_bad_states():
         validate_density_matrix(np.eye(2))
     with pytest.raises(ValueError, match="positive"):
         validate_density_matrix(np.diag([1.5, -0.5]))
+
+
+def _nan_diagonal_state():
+    rho = np.eye(8, dtype=complex) / 8
+    rho[2, 2] = np.nan
+    return rho
+
+
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        (lambda: validate_density_matrix(np.full((4, 4), np.nan)), "not Hermitian: residual nan"),
+        (lambda: validate_density_matrix(_nan_diagonal_state()), "not Hermitian: residual nan"),
+        (lambda: check_trace(np.full((2, 2), np.nan)), "trace nan"),
+        (lambda: KrausChannel((np.full((2, 2), np.nan),)), "not complete: residual nan"),
+        (lambda: expectation(I2 / 2, np.full((2, 2), np.nan)), "not Hermitian: residual nan"),
+        (lambda: expectation(np.full((2, 2), np.nan), SIGMA_Z), "imaginary part nan"),
+        (lambda: ket([np.nan, 1.0]), "norm nan"),
+    ],
+    ids=["state", "state-one-entry", "trace", "kraus", "observable", "expectation-value", "ket"],
+)
+def test_tolerance_checks_fail_on_nan(check, message):
+    with pytest.raises(ValueError, match=message):
+        check()
 
 
 @pytest.mark.parametrize("min_eig, accepted", [(-2 * PSD_ATOL, False), (-0.5 * PSD_ATOL, True)])

@@ -39,6 +39,10 @@ def test_schedule_validation():
         Schedule.cyclic(())
     with pytest.raises(ValueError):
         Schedule(mode="random")  # no seed
+    with pytest.raises(InputError, match="cyclic schedules take no seed"):
+        Schedule(mode="cyclic", seed=5)
+    with pytest.raises(InputError, match="random schedules take no order"):
+        Schedule(mode="random", order=(0, 1), seed=3)
     assert Schedule.cyclic((0, 1)).order == (0, 1)
     assert Schedule.random(seed=3).seed == 3
 
@@ -175,6 +179,10 @@ def test_run_validates_arguments():
         run(random_density(1, 4), PATH3, ChannelFamily.ssc(), Schedule.cyclic(), 5)
     with pytest.raises(ValueError, match="cover"):
         run(rho0, PATH3, ChannelFamily.ssc(), Schedule.cyclic((0, 0)), 5)
+    nan_entry = np.eye(8, dtype=complex) / 8
+    nan_entry[2, 2] = np.nan
+    with pytest.raises(ValueError, match="residual nan"):
+        run(nan_entry, PATH3, ChannelFamily.ssc(), Schedule.cyclic(), 5)
 
 
 def test_run_warns_on_disconnected_topology():

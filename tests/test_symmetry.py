@@ -145,6 +145,8 @@ def test_is_ssc_cases():
     mixed = 0.5 * ket_to_density(bitstring_ket("01")) + 0.5 * ket_to_density(bitstring_ket("10"))
     ok, residual = is_ssc(mixed, 2)
     assert ok and residual < 1e-15
+    ok, residual = is_ssc(np.full((8, 8), np.nan), 3)
+    assert not ok and np.isnan(residual)
 
 
 def test_is_smc_cases():
@@ -158,6 +160,9 @@ def test_is_smc_cases():
     ghz = ket_to_density((bitstring_ket("000") + bitstring_ket("111")) / np.sqrt(2))
     ok, population, pairwise = is_smc(ghz, 3)
     assert ok and abs(population - 1.0) < 1e-12 and pairwise <= 1e-12
+
+    ok, population, pairwise = is_smc(np.full((8, 8), np.nan), 3)
+    assert not ok and np.isnan(population) and np.isnan(pairwise)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
