@@ -31,11 +31,20 @@ state:
   (16, d^2/16) view, float64 for all three families), which splits the step
   into its copy and its product.  Both are null for a checkout without the
   kernel.
+* run_step_s: one anchor-free step of a validated `simulator.run` on the
+  m-site path graph, for m <= 10 only: the pair-kernel step in the carried
+  layout, the record and the trace check.  It is the difference of the
+  median times of a 1-step and a (1 + RUN_EXTRA_STEPS)-step cyclic run (both
+  anchor on their input and last state), divided by RUN_EXTRA_STEPS.  Null
+  for a checkout whose `run` does not carry the layout (no
+  `qcore._pair_step`).
 
 Each per-m row also holds two family-independent times on the seeded state:
 
-* record_s: the Dicke populations and purity that every trajectory step
-  records (`symmetry.dicke_populations` plus `purity`);
+* record_s: what every trajectory step records.  With the carried run that
+  is `simulator._record` on the carried layout (the diagonal take, the Dicke
+  sector sums, purity, S and the P_smc corners); for an older checkout it is
+  `symmetry.dicke_populations` plus `purity` on the canonical state;
 * fixed_point_s: one `symmetry.gossip_fixed_point`, for m <= 8 only.
 
 Each is the median of several repeats.  With `--run-m M` it also runs
@@ -66,6 +75,7 @@ import numpy as np  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 FAMILIES = ("gossip", "ssc", "smc")
 CONVERGENCE_TRIALS, CONVERGENCE_HORIZON, CONVERGENCE_GAMMA = 20, 100, 0.05
+RUN_EXTRA_STEPS = 32
 
 
 def repeats_for(m: int) -> int:
@@ -118,17 +128,49 @@ def trial_split(family, topology, rho: np.ndarray, repeats: int) -> dict:
     }
 
 
+def run_step_time(family, topology, rho: np.ndarray, repeats: int) -> float | None:
+    """Seconds per anchor-free step of a validated cyclic run, or None without the carried run."""
+    from qconsensus import qcore
+    from qconsensus.simulator import Schedule, run
+
+    if not hasattr(qcore, "_pair_step"):
+        return None
+    times = [
+        median_time(lambda: run(rho, topology, family, Schedule.cyclic(), steps, validate=True), repeats)
+        for steps in (1, 1 + RUN_EXTRA_STEPS)
+    ]
+    return (times[1] - times[0]) / RUN_EXTRA_STEPS
+
+
+def record_fn(m: int, rho: np.ndarray):
+    """The per-step record of a run on rho's image under one pair step, or the older canonical readouts."""
+    from qconsensus import simulator
+    from qconsensus.dynamics import ChannelFamily, neighborhood_channel
+    from qconsensus.qcore import purity
+    from qconsensus.symmetry import dicke_populations
+
+    if not hasattr(simulator, "_pair_step"):
+        return lambda: (dicke_populations(rho, m), purity(rho))
+    from qconsensus.symmetry import _readout
+
+    channel = neighborhood_channel(ChannelFamily.ssc(), (m // 2, m // 2 + 1), m)
+    flat = simulator._pair_step(rho.reshape((2,) * (2 * m)), None, channel, channel.superop)[0].reshape(-1)
+    table = _readout(m, 1 << (m - 2))
+    return lambda: simulator._record(1, flat, flat[table.diag], table, None)
+
+
 def layer_times(m: int) -> dict:
     """Median per-family layer times at size m, plus record and fixed-point times."""
     from qconsensus.dynamics import ChannelFamily, neighborhood_channel
     from qconsensus.network import NetworkTopology
     from qconsensus.qcore import apply_channel, purity, validate_density_matrix
     from qconsensus.simulator import convergence_probability, random_density
-    from qconsensus.symmetry import dicke_populations, gossip_fixed_point
+    from qconsensus.symmetry import gossip_fixed_point
 
     pair = (m // 2, m // 2 + 1)
     rho = random_density(m, 1 << m) if m <= 10 else low_rank_density(m, 1 << m)
     repeats = repeats_for(m)
+    path = NetworkTopology(m=m, neighborhoods=tuple((i, i + 1) for i in range(1, m)))
     out = {}
     for kind in FAMILIES:
         family = ChannelFamily(kind)
@@ -143,8 +185,9 @@ def layer_times(m: int) -> dict:
         }
         if m <= 6:
             out[kind]["verify_s"] = median_time(verify_fn(kind, m), repeats)
+        if m <= 10:
+            out[kind]["run_step_s"] = run_step_time(family, path, rho, repeats)
         if m <= 8:
-            path = NetworkTopology(m=m, neighborhoods=tuple((i, i + 1) for i in range(1, m)))
             args = (rho, path, family, CONVERGENCE_GAMMA, CONVERGENCE_HORIZON, CONVERGENCE_TRIALS, 0)
             out[kind]["convergence_s"] = median_time(lambda: convergence_probability(*args), min(repeats, 5))
             try:
@@ -152,7 +195,7 @@ def layer_times(m: int) -> dict:
             except ImportError:
                 out[kind].update(trial_step_s=None, trial_matmul_s=None)
         del channel, after
-    out["record_s"] = median_time(lambda: (dicke_populations(rho, m), purity(rho)), repeats)
+    out["record_s"] = median_time(record_fn(m, rho), repeats)
     if m <= 8:
         out["fixed_point_s"] = median_time(lambda: gossip_fixed_point(rho, m), repeats)
     return out

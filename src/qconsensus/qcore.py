@@ -98,8 +98,8 @@ def _gamma(n: int) -> float:
 
 
 def check_trace(rho: np.ndarray) -> None:
-    """Raise ValueError unless |Tr(rho) - 1| <= TRACE_ATOL (so a NaN trace fails); reads only the diagonal."""
-    tr = complex(np.trace(rho))
+    """Raise ValueError unless |Tr(rho) - 1| <= TRACE_ATOL (so a NaN trace fails); rho is a matrix or its diagonal."""
+    tr = complex(np.trace(rho) if np.ndim(rho) == 2 else np.sum(rho))
     if not abs(tr - 1.0) <= TRACE_ATOL:
         raise ValueError(f"trace {tr:.12g} deviates from 1 by more than {TRACE_ATOL:.1e}")
 
@@ -295,22 +295,26 @@ def check_cptp(channel_or_ops) -> CPTPReport:
     return CPTPReport(completeness_residual=completeness_residual(ops), is_unital=unital)
 
 
-def _apply_pairs(x: np.ndarray, steps) -> np.ndarray:
-    """The pair kernel: apply (channel, superop) steps in turn to the (2,)*2m view of x.
+def _pair_step(t: np.ndarray, layout, channel: KrausChannel, superop: np.ndarray):
+    """The pair kernel: one transposed copy and one matmul of superop on the (2,)*2m tensor t.
 
-    x is complex, or float64 (a real part) when every superop is real; a real
-    superop multiplies the float64 view of a complex x.  Between steps the
-    tensor stays in the last channel's perm order, so a step is one transposed
-    copy and one matmul; canonical order returns once, at the end.
+    Axis layout[a] of t holds canonical axis a (None: canonical order).  t is
+    complex, or float64 when superop is real (which then multiplies the float64
+    view of a complex t).  Returns the image in channel.perm order and that
+    layout, channel.inverse_perm.
     """
-    tensor = (2,) * (x.size.bit_length() - 1)
-    t, layout = x.reshape(tensor), None
+    axes = channel.perm if layout is None else [layout[a] for a in channel.perm]
+    front = np.ascontiguousarray(t.transpose(axes)).reshape(len(superop), -1)
+    float_view = superop.dtype != complex and front.dtype == complex
+    out = (superop @ front.view(np.float64)).view(complex) if float_view else superop @ front
+    return out.reshape(t.shape), channel.inverse_perm
+
+
+def _apply_pairs(x: np.ndarray, steps) -> np.ndarray:
+    """Apply (channel, superop) steps to x with _pair_step, restoring canonical order once, at the end."""
+    t, layout = x.reshape((2,) * (x.size.bit_length() - 1)), None
     for channel, superop in steps:
-        axes = channel.perm if layout is None else [layout[a] for a in channel.perm]
-        front = np.ascontiguousarray(t.transpose(axes)).reshape(len(superop), -1)
-        float_view = superop.dtype != complex and front.dtype == complex
-        t = (superop @ front.view(np.float64)).view(complex) if float_view else superop @ front
-        t, layout = t.reshape(tensor), channel.inverse_perm
+        t, layout = _pair_step(t, layout, channel, superop)
     return x if layout is None else t.transpose(layout).reshape(x.shape)
 
 

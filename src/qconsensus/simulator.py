@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,16 +21,17 @@ from .network import InputError, NetworkTopology, _as_count, _as_index, _as_real
 from .qcore import (
     PSD_ATOL,
     _apply_pairs,
-    apply_channel,
+    _pair_step,
     apply_error_bound,
     check_trace,
     purity,
     validate_density_matrix,
 )
 from .symmetry import (
+    _readout,
+    _sector_sums,
     dicke_populations,
     excitation_counts,
-    global_observable_diagonal,
     gossip_fixed_point,
     site_bits,
     v_smc,
@@ -170,20 +171,12 @@ def _cyclic_order(schedule: Schedule, n_neighborhoods: int) -> tuple[int, ...]:
     return order
 
 
-def _record(step: int, rho: np.ndarray, m: int, s_diag: np.ndarray, psd_debt: float | None) -> TrajectoryRecord:
-    diag = np.real(np.diag(rho))
-    pops = tuple(float(p) for p in dicke_populations(rho, m))
-    smc_pop = float(rho[0, 0].real + rho[-1, -1].real)
-    return TrajectoryRecord(
-        step=step,
-        purity=purity(rho),
-        s_expectation=float(np.dot(s_diag, diag)),
-        v_total=float(m + 1 - sum(pops)),
-        v_smc=1.0 - smc_pop,
-        dicke_populations=pops,
-        smc_population=smc_pop,
-        psd_debt=psd_debt,
-    )
+def _record(step: int, flat: np.ndarray, diag: np.ndarray, table, psd_debt: float | None) -> TrajectoryRecord:
+    """The diagnostics of a flat state in the layout `table` reads (symmetry._readout); diag = flat[table.diag]."""
+    pops = tuple(_sector_sums(flat, table).tolist())
+    smc_pop = float(flat[0].real + flat[-1].real)  # |0..0> and |1..1> keep their places in every layout
+    s_exp = float(np.dot(table.s_weights, diag.real))
+    return TrajectoryRecord(step, purity(flat), s_exp, len(pops) - sum(pops), 1.0 - smc_pop, pops, smc_pop, psd_debt)
 
 
 def lyapunov_gap(family: ChannelFamily, rho: np.ndarray, m: int, *, gossip_target: np.ndarray | None = None) -> float:
@@ -230,6 +223,13 @@ def run(
     early_stop : stop once the family's Lyapunov gap stays below
         EARLY_STOP_THRESHOLD for 2*m consecutive steps
 
+    The state stays in the pair kernel's carried layout (qcore._pair_step), a
+    site relabeling of rho with the last step's pair first, so a step is one
+    transposed copy and one matmul.  Trace, S, purity, P_smc, the Dicke
+    populations and the gossip target are invariant under site relabeling, so
+    the record, the trace check and the early-stop gap read it as it is;
+    canonical order comes back only on a copy for each anchor and at the end.
+
     Validation does not factorize every state.  It checks the trace each
     step, and carries a certified positivity debt: a bound, in trace norm, on
     the distance from the computed state to a positive semidefinite matrix.
@@ -271,40 +271,42 @@ def run(
     else:
         picks = _random_picks(topology, schedule.seed, steps)
 
-    gossip_target = None
-    if early_stop and family.kind == "gossip":
-        gossip_target = gossip_fixed_point(rho, m)
-
-    s_diag = global_observable_diagonal(m)
+    d, block = 1 << m, 1 << (m - 2)
+    table = _readout(m, block)
+    if early_stop and family.kind == "gossip":  # S_m-invariant, so one block form serves every layout
+        target = gossip_fixed_point(rho, m).reshape(4, block, 4, block).transpose(0, 2, 1, 3).reshape(-1)
     if validate:
         step_bounds = [apply_error_bound(ch) for ch in channels]
         norm_f = math.sqrt(purity(rho))
     records: list[TrajectoryRecord] = []
+    x, layout = rho.reshape((2,) * (2 * m)), None
     quiet = anchored = 0
     for t, idx in enumerate(picks, 1):
-        rho = apply_channel(channels[idx], rho, validate=False)
-        stop = False
+        x, layout = _pair_step(x, layout, channels[idx], channels[idx].superop)
+        flat = x.reshape(-1)
+        diag = flat[table.diag]
+        rec = _record(t, flat, diag, table, None if debt is None else debt + step_bounds[idx] * norm_f)
         if early_stop:
-            gap = lyapunov_gap(family, rho, m, gossip_target=gossip_target)
+            gap = lyapunov_gap(family, flat, m, gossip_target=target) if family.kind == "gossip" else (
+                rec.v_total - m if family.kind == "ssc" else rec.v_smc)
             quiet = quiet + 1 if gap < EARLY_STOP_THRESHOLD else 0
-            stop = quiet >= 2 * m
+        stop = quiet >= 2 * m
         if validate:
-            debt += step_bounds[idx] * norm_f
             try:
-                check_trace(rho)
-                if debt > PSD_DEBT_BUDGET or stop or t == steps:
-                    debt = validate_density_matrix(rho)
+                check_trace(diag)
+                if rec.psd_debt > PSD_DEBT_BUDGET or stop or t == steps:
+                    rec = replace(rec, psd_debt=validate_density_matrix(x.transpose(layout).reshape(d, d)))
                     anchored = t
             except ValueError as exc:
                 raise ValueError(
                     f"{family.kind} run, step {t} on edge {topology.neighborhoods[idx]}: {exc} "
                     f"(last passing anchor at step {anchored}; the fault lies in steps {anchored + 1}..{t})"
                 ) from exc
-        records.append(_record(t, rho, m, s_diag, debt))
-        norm_f = math.sqrt(records[-1].purity)
+            debt, norm_f = rec.psd_debt, math.sqrt(rec.purity)
+        records.append(rec)
         if stop:
             break
-    return RunResult(records=records, final_state=rho)
+    return RunResult(records=records, final_state=x.transpose(layout).reshape(d, d))
 
 
 def convergence_probability(

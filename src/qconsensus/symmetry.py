@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -166,10 +167,42 @@ def v_dicke(rho: np.ndarray, m: int, k: int) -> float:
     return 1.0 - float(np.real(d.conj() @ _as_state(rho, m) @ d))
 
 
+class _Readout(NamedTuple):
+    diag: np.ndarray  # the diagonal, in index order
+    s_weights: np.ndarray  # 2*(m - k) at each diagonal entry
+    sectors: np.ndarray  # the Dicke-sector blocks {(r, c): |r| = |c| = k}, ascending in k
+    starts: np.ndarray  # where each sector starts in `sectors`
+    scale: np.ndarray  # 1 / C(m, k)
+
+
+@cache
+def _readout(m: int, block: int) -> _Readout:
+    """Read-only flat positions in a 2^m x 2^m matrix stored as (d/b, d/b, b, b) blocks, b = block.
+
+    Row r = p*b + X and column c = q*b + Y sit at ((p*d/b + q)*b + X)*b + Y:
+    b = 2^m is the canonical layout, b = 2^(m-2) the pair kernel's carried one.
+    """
+    d, counts = 1 << m, excitation_counts(m)
+    p, x = np.divmod(np.arange(d), block)
+    rows, cols = (p * d + x) * block, p * block * block + x
+    by_k = [np.flatnonzero(counts == k) for k in range(m + 1)]
+    sectors = [np.sort(np.add.outer(rows[idx], cols[idx]), axis=None) for idx in by_k]
+    sizes = np.array([len(idx) for idx in by_k])
+    table = _Readout(rows + cols, global_observable_diagonal(m), np.concatenate(sectors),
+                     np.cumsum(sizes * sizes) - sizes * sizes, 1.0 / sizes)
+    for a in table:
+        a.setflags(write=False)
+    return table
+
+
+def _sector_sums(flat: np.ndarray, table: _Readout) -> np.ndarray:
+    """Dicke populations <(m,k)| rho |(m,k)>, k = 0..m, of the flat matrix the table reads."""
+    return np.add.reduceat(np.real(flat)[table.sectors], table.starts) * table.scale
+
+
 def dicke_populations(rho: np.ndarray, m: int) -> np.ndarray:
-    """<(m,k)| rho |(m,k)>, k = 0..m: column sums of D * (Re(rho) @ D), D real."""
-    d = _dicke_matrix(m)
-    return np.sum(d * (np.real(_as_state(rho, m)) @ d), axis=0)
+    """<(m,k)| rho |(m,k)>, k = 0..m: the mean of Re(rho) over the k-excitation sector block."""
+    return _sector_sums(_as_state(rho, m).reshape(-1), _readout(m, 1 << m))
 
 
 def v_total(rho: np.ndarray, m: int) -> float:

@@ -22,6 +22,7 @@ from qconsensus.network import InputError, NetworkTopology
 from qconsensus.qcore import (
     PSD_ATOL,
     KrausChannel,
+    _pair_step,
     apply_channel,
     apply_error_bound,
     bitstring_ket,
@@ -55,11 +56,12 @@ def steps_and_records(monkeypatch, *args, **kwargs):
     """run(*args) plus (channel, state after the step) for every step it makes."""
     steps = []
 
-    def recording_apply(channel, rho, *, validate=True):
-        steps.append((channel, apply_channel(channel, rho, validate=validate)))
-        return steps[-1][1]
+    def recording_step(x, layout, channel, superop):
+        out, out_layout = _pair_step(x, layout, channel, superop)
+        steps.append((channel, out.transpose(out_layout).reshape(channel.dim, channel.dim)))
+        return out, out_layout
 
-    monkeypatch.setattr(simulator, "apply_channel", recording_apply)
+    monkeypatch.setattr(simulator, "_pair_step", recording_step)
     result = run(*args, **kwargs)
     return steps, result
 
@@ -175,11 +177,11 @@ def test_kernel_fault_fails_within_the_same_run(monkeypatch, kind, order, edge):
 
 
 def test_trace_fault_is_caught_at_its_step_with_context(monkeypatch):
-    def leaky_apply(channel, rho, *, validate=True):
-        out = apply_channel(channel, rho, validate=validate)
-        return out * (1 + 2e-9) if channel.sites == (2, 3) else out
+    def leaky_step(x, layout, channel, superop):
+        out, out_layout = _pair_step(x, layout, channel, superop)
+        return (out * (1 + 2e-9) if channel.sites == (2, 3) else out), out_layout
 
-    monkeypatch.setattr(simulator, "apply_channel", leaky_apply)
+    monkeypatch.setattr(simulator, "_pair_step", leaky_step)
     with pytest.raises(ValueError, match=r"^smc run, step 2 on edge \(2, 3\): trace 1.000000002\+0j deviates"):
         run(random_density(6, 8), ring(3), ChannelFamily.smc(), Schedule.cyclic(), 3)
 

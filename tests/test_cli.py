@@ -77,6 +77,16 @@ def test_run_rejects_malformed_edges(tmp_path, capsys):
     assert "topology.edges[0]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text", ["topology: [1, 2\n", "steps: !!python/object/apply:os.getcwd []\n"], ids=["unclosed", "python-tag"]
+)
+def test_invalid_or_unsafe_yaml_is_a_config_error(tmp_path, capsys, text):
+    cfg_path = tmp_path / "bad.yaml"
+    cfg_path.write_text(text)
+    assert main(["run", "--config", str(cfg_path), "--output-dir", str(tmp_path)]) == 1
+    assert f"config error: invalid YAML in {cfg_path}" in capsys.readouterr().err
+
+
 def test_run_rejects_zero_steps(tmp_path):
     cfg = write_config(tmp_path, steps=0)
     assert main(["run", "--config", cfg]) == 1
@@ -338,6 +348,43 @@ def test_bad_output_name_fails_before_the_library_runs(tmp_path, capsys, monkeyp
     cfg_path.write_text(f"{config}output: {output}\n")
     assert main([command, "--config", str(cfg_path), "--output-dir", str(tmp_path)]) == 1
     assert f"'output' must be a file name, got {output!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("run", PATH3_YAML + "family: {kind: smc}\nsteps: 400\n" + RANDOM_START),
+        ("compare", PATH3_YAML + "steps: 400\n" + RANDOM_START),
+        ("prepare", PATH3_YAML + RANDOM_START + "prepare: {target_k: 1, steps: 400}\n"),
+    ],
+    ids=["run", "compare", "prepare"],
+)
+def test_unusable_output_dir_fails_before_the_library_runs(tmp_path, capsys, monkeypatch, command, config):
+    def not_called(*args, **kwargs):
+        raise AssertionError("the output directory must be checked before the trajectory runs")
+
+    monkeypatch.setattr(cli, "run", not_called)
+    monkeypatch.setattr(cli, "prepare_dicke", not_called)
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(config)
+    occupied = tmp_path / "taken"
+    occupied.write_text("a file, not a directory\n")
+    assert main([command, "--config", str(cfg_path), "--output-dir", str(occupied)]) == 1
+    assert f"config error: cannot use --output-dir {occupied}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "steps, message",
+    [("", "missing key 'steps'"), ("steps: 1.5\n", "'steps' 1.5 is not an integer")],
+    ids=["missing", "float"],
+)
+def test_top_level_steps_errors_name_the_bare_key(tmp_path, capsys, steps, message):
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(PATH3_YAML + "family: {kind: ssc}\n" + RANDOM_START + steps)
+    for command in ("run", "compare"):
+        assert main([command, "--config", str(cfg_path), "--output-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "config." not in err
 
 
 @pytest.mark.parametrize(

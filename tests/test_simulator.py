@@ -10,8 +10,10 @@ from qconsensus.qcore import (
     _apply_pairs,
     apply_channel,
     bitstring_ket,
+    check_trace,
     ket_to_density,
     pure_state_fidelity,
+    purity,
     validate_density_matrix,
 )
 from qconsensus.simulator import (
@@ -27,7 +29,7 @@ from qconsensus.simulator import (
     trajectory_csv_lines,
     write_trajectory_csv,
 )
-from qconsensus.symmetry import dicke_ket, excitation_counts, gossip_fixed_point, v_smc
+from qconsensus.symmetry import dicke_ket, dicke_populations, excitation_counts, gossip_fixed_point, v_smc
 
 PATH3 = NetworkTopology(m=3, neighborhoods=((1, 2), (2, 3)))
 
@@ -497,6 +499,49 @@ def test_pair_kernel_trial_matches_the_dense_run_replay(family, m, graph):
         expected = final if family.kind == "gossip" else final.real
         assert out.dtype == expected.dtype
         assert np.max(np.abs(out - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("validate", [True, False], ids=["validated", "unvalidated"])
+@pytest.mark.parametrize("start", ["dense", "ghz"])
+@pytest.mark.parametrize("graph", ["path", "ring-chord", "complete"])
+@pytest.mark.parametrize("m", range(2, 8))
+@pytest.mark.parametrize(
+    "family", [ChannelFamily.gossip(0.3), ChannelFamily.ssc(), ChannelFamily.smc()], ids=["gossip", "ssc", "smc"]
+)
+def test_carried_run_records_match_the_canonical_replay(monkeypatch, family, m, graph, start, validate):
+    # run reads its records, trace checks and early-stop gaps from the pair
+    # kernel's site-relabeled layout; the replay reads the canonical matrix.
+    # The GHZ start is a fixed point of all three families, so every run
+    # stops early on it (the gossip gap then reads the target's block form).
+    topology = NetworkTopology(m=m, neighborhoods=_kernel_graphs(m)[graph])
+    ghz = ket_to_density(bitstring_ket("0" * m) + bitstring_ket("1" * m)) / 2
+    rho0 = random_density(70 + m, 1 << m) if start == "dense" else ghz
+    traces = []
+
+    def recording_check_trace(diag):
+        traces.append(complex(np.sum(diag)))
+        check_trace(diag)
+
+    monkeypatch.setattr(simulator, "check_trace", recording_check_trace)
+    result = run(rho0, topology, family, Schedule.random(seed=m), 30, validate=validate, early_stop=True)
+    channels = build_channels(family, topology)
+    target, s_diag = gossip_fixed_point(rho0, m), 2.0 * (m - excitation_counts(m))
+    states, quiet = [rho0], 0
+    for idx in simulator._random_picks(topology, m, 30):
+        states.append(apply_channel(channels[idx], states[-1], validate=False))
+        quiet = quiet + 1 if lyapunov_gap(family, states[-1], m, gossip_target=target) < 1e-10 else 0
+        if quiet >= 2 * m:
+            break
+    assert len(result.records) == len(states) - 1
+    assert len(traces) == (len(states) - 1 if validate else 0)
+    for record, rho in zip(result.records, states[1:]):
+        got = [*record.dicke_populations, record.purity, record.s_expectation, record.v_smc, record.v_total]
+        pops = dicke_populations(rho, m)
+        want = [*pops, purity(rho), s_diag @ np.real(np.diag(rho)), v_smc(rho, m), m + 1 - pops.sum()]
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+    for trace, rho in zip(traces, states[1:]):
+        assert abs(trace - np.trace(rho)) <= 1e-12
+    assert result.final_state.tobytes() == states[-1].tobytes()
 
 
 @pytest.mark.parametrize(

@@ -291,6 +291,17 @@ def test_dicke_populations_match_dicke_ket_quadratic_forms(seed, m):
 
 
 @pytest.mark.parametrize("m", range(1, 11))
+def test_dicke_populations_match_the_dicke_matrix_formula(m):
+    # The sector-block sums against column sums of D * (Re(rho) @ D), D the Dicke kets.
+    rng = np.random.default_rng(m)
+    x = rng.standard_normal((1 << m, 1 << m)) + 1j * rng.standard_normal((1 << m, 1 << m))
+    rho = x @ x.conj().T
+    rho /= np.trace(rho).real
+    d = _dicke_matrix(m)
+    assert np.max(np.abs(dicke_populations(rho, m) - np.sum(d * (np.real(rho) @ d), axis=0))) <= 1e-12
+
+
+@pytest.mark.parametrize("m", range(1, 11))
 def test_excitation_counts_match_popcount(m):
     assert excitation_counts(m).tolist() == [bin(n).count("1") for n in range(1 << m)]
 
