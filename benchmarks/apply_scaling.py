@@ -3,11 +3,11 @@
     python3 benchmarks/apply_scaling.py [--src DIR] [--sizes 4 6 8 10 12] [--run-m 12] [--out FILE]
 
 Imports `qconsensus` from `--src` (default: `src/` of this checkout), so the
-same script measures any checkout of the package that has
-`symmetry.dicke_populations`, `dynamics.certify_family` and
-`TrajectoryRecord.psd_debt`.  For every m in `--sizes`
-and every family it times, on the pair (m//2, m//2 + 1) and a seeded dense
-state:
+same script measures any checkout of the package that has the pair kernel
+(`qcore._pair_step` and `qcore._apply_pairs`), the carried-layout record
+(`simulator._record` and `symmetry._readout`) and `dynamics.certify_family`.
+For every m in `--sizes` and every family it times, on the pair
+(m//2, m//2 + 1) and a seeded dense state:
 
 * build_s: constructing the channel (`neighborhood_channel`);
 * apply_s: one `apply_channel(..., validate=False)`;
@@ -29,22 +29,18 @@ state:
   canonical order.  A step is one transposed copy and one matmul, and
   trial_matmul_s times that matmul alone (16x16 superoperator times the
   (16, d^2/16) view, float64 for all three families), which splits the step
-  into its copy and its product.  Both are null for a checkout without the
-  kernel.
+  into its copy and its product.
 * run_step_s: one anchor-free step of a validated `simulator.run` on the
   m-site path graph, for m <= 10 only: the pair-kernel step in the carried
   layout, the record and the trace check.  It is the difference of the
   median times of a 1-step and a (1 + RUN_EXTRA_STEPS)-step cyclic run (both
-  anchor on their input and last state), divided by RUN_EXTRA_STEPS.  Null
-  for a checkout whose `run` does not carry the layout (no
-  `qcore._pair_step`).
+  anchor on their input and last state), divided by RUN_EXTRA_STEPS.
 
 Each per-m row also holds two family-independent times on the seeded state:
 
-* record_s: what every trajectory step records.  With the carried run that
-  is `simulator._record` on the carried layout (the diagonal take, the Dicke
-  sector sums, purity, S and the P_smc corners); for an older checkout it is
-  `symmetry.dicke_populations` plus `purity` on the canonical state;
+* record_s: what every trajectory step records, `simulator._record` on the
+  carried layout (the diagonal take, the Dicke sector sums, purity, S and the
+  P_smc corners);
 * fixed_point_s: one `symmetry.gossip_fixed_point`, for m <= 8 only.
 
 Each is the median of several repeats.  With `--run-m M` it also runs
@@ -128,13 +124,10 @@ def trial_split(family, topology, rho: np.ndarray, repeats: int) -> dict:
     }
 
 
-def run_step_time(family, topology, rho: np.ndarray, repeats: int) -> float | None:
-    """Seconds per anchor-free step of a validated cyclic run, or None without the carried run."""
-    from qconsensus import qcore
+def run_step_time(family, topology, rho: np.ndarray, repeats: int) -> float:
+    """Seconds per anchor-free step of a validated cyclic run."""
     from qconsensus.simulator import Schedule, run
 
-    if not hasattr(qcore, "_pair_step"):
-        return None
     times = [
         median_time(lambda: run(rho, topology, family, Schedule.cyclic(), steps, validate=True), repeats)
         for steps in (1, 1 + RUN_EXTRA_STEPS)
@@ -143,14 +136,9 @@ def run_step_time(family, topology, rho: np.ndarray, repeats: int) -> float | No
 
 
 def record_fn(m: int, rho: np.ndarray):
-    """The per-step record of a run on rho's image under one pair step, or the older canonical readouts."""
+    """The per-step record of a run on rho's image under one pair step."""
     from qconsensus import simulator
     from qconsensus.dynamics import ChannelFamily, neighborhood_channel
-    from qconsensus.qcore import purity
-    from qconsensus.symmetry import dicke_populations
-
-    if not hasattr(simulator, "_pair_step"):
-        return lambda: (dicke_populations(rho, m), purity(rho))
     from qconsensus.symmetry import _readout
 
     channel = neighborhood_channel(ChannelFamily.ssc(), (m // 2, m // 2 + 1), m)
@@ -190,10 +178,7 @@ def layer_times(m: int) -> dict:
         if m <= 8:
             args = (rho, path, family, CONVERGENCE_GAMMA, CONVERGENCE_HORIZON, CONVERGENCE_TRIALS, 0)
             out[kind]["convergence_s"] = median_time(lambda: convergence_probability(*args), min(repeats, 5))
-            try:
-                out[kind].update(trial_split(family, path, rho, repeats))
-            except ImportError:
-                out[kind].update(trial_step_s=None, trial_matmul_s=None)
+            out[kind].update(trial_split(family, path, rho, repeats))
         del channel, after
     out["record_s"] = median_time(record_fn(m, rho), repeats)
     if m <= 8:

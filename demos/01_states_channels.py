@@ -2,8 +2,8 @@
 """
 01_states_channels.py
 
-Tour of the linear-algebra core: multi-qubit states, operator embeddings,
-Kraus channels, and the two structural checks every channel here satisfies
+Tour of the linear-algebra core: multi-qubit states, reduced states, the
+conserved observable, Kraus channels, and the two structural checks every channel here satisfies
 (completeness and Heisenberg-picture duality).
 """
 

@@ -1,10 +1,12 @@
 """Quasi-local symmetrizing dynamics and consensus channels on qubit networks.
 
-The package provides dense multi-qubit linear algebra (qcore), topology and
-operator embedding (network), Dicke-state and consensus diagnostics
-(symmetry), the gossip / ssc / smc channel families (dynamics), trajectory
-and Monte-Carlo machinery plus the Dicke preparation protocol (simulator),
-and a YAML-driven command line front end (cli).
+The package provides multi-qubit states and pair-local Kraus channels
+(qcore), the network topology and the argument gates (network), Dicke-state
+and consensus diagnostics (symmetry), the gossip / ssc / smc channel families
+(dynamics), trajectory and Monte-Carlo machinery plus the Dicke preparation
+protocol (simulator), and a YAML-driven command line front end (cli).  A
+site relabeling is an axis permutation of the (2,)*2m qubit-tensor view of a
+2^m x 2^m matrix; no full-space permutation or embedding matrix is built.
 """
 
 from .dynamics import (
@@ -18,13 +20,7 @@ from .dynamics import (
     ssc_feedback_decomposition,
     ssc_pair_channel,
 )
-from .network import (
-    InputError,
-    NetworkTopology,
-    embed_neighborhood,
-    is_connected,
-    permutation_unitary,
-)
+from .network import InputError, NetworkTopology, is_connected
 from .qcore import (
     KrausChannel,
     apply_channel,

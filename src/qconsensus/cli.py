@@ -19,7 +19,7 @@ import numpy as np
 import yaml
 
 from .dynamics import FAMILY_KINDS, ChannelFamily, certify_family
-from .network import InputError, NetworkTopology, _as_index, _as_real, _as_seed
+from .network import InputError, NetworkTopology, _as_index, _as_nonnegative, _as_real
 from .qcore import bitstring_ket, ket_to_density, load_matrix, purity
 from .simulator import (
     Schedule,
@@ -107,7 +107,7 @@ def _load(args):
     if not isinstance(cfg, dict):
         raise InputError(f"config {args.config} must be a mapping at the top level")
     _check_keys(cfg)
-    seed = _as_seed(cfg.get("seed", DEFAULT_SEED) if args.seed is None else args.seed, "'seed'")
+    seed = _as_nonnegative(cfg.get("seed", DEFAULT_SEED) if args.seed is None else args.seed, "'seed'")
     topology = _build_topology(cfg)
     return cfg, seed, topology, _build_initial_state(cfg, topology.m, seed)
 

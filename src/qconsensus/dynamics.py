@@ -22,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .network import InputError, NetworkTopology, _as_pair, _as_real
+from .network import InputError, NetworkTopology, _as_index, _as_pair, _as_real
 from .qcore import KrausChannel, apply_channel, check_cptp, dual_apply, ket_to_density
 from .symmetry import dicke_ket, excitation_counts, global_observable, smc_projector
 
@@ -143,7 +143,7 @@ def smc_neighborhood_channel(n_sites: int) -> KrausChannel:
     p_k1 = 1 - p_k0.  The weights make the map conserve the excitation
     observable; both are positive because k has a zero bit and a one bit.
     """
-    if n_sites < 2:
+    if _as_index(n_sites, "neighborhood size") < 2:
         raise InputError(f"need at least 2 sites in a neighborhood, got {n_sites}")
     dim = 1 << n_sites
     ops = [smc_projector(n_sites)]
@@ -229,6 +229,7 @@ def certify_family(family: ChannelFamily, m: int) -> list[tuple[str, bool, str]]
     E^dag(P_D) >= P_D for ssc (P_D projects onto the Dicke span),
     E^dag(P_smc) >= P_smc for smc, and E^dag(|D_k><D_k|) = |D_k><D_k| for gossip.
     """
+    m = _as_index(m, "qubit count m")
     channels = build_channels(family, NetworkTopology(m=m, neighborhoods=tuple(combinations(range(1, m + 1), 2))))
     dicke = [ket_to_density(dicke_ket(m, k)) for k in range(m + 1)]
     eye = [np.eye(1 << m)]

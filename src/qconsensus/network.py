@@ -1,4 +1,4 @@
-"""Network topology and embedding of local operators into the full qubit space."""
+"""Network topology, and the argument gates (the _as_* helpers) every module shares."""
 
 from __future__ import annotations
 
@@ -7,14 +7,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-__all__ = [
-    "InputError",
-    "NetworkTopology",
-    "is_connected",
-    "embed_neighborhood",
-    "permutation_unitary",
-    "permute_sites",
-]
+__all__ = ["InputError", "NetworkTopology", "is_connected"]
 
 PROBABILITY_SUM_ATOL = 1e-12
 
@@ -43,12 +36,12 @@ def _as_real(value, what: str) -> float:
     return float(value)
 
 
-def _as_seed(value, what: str) -> int:
-    """A random seed as int; non-integers and negative integers raise InputError."""
-    seed = _as_index(value, what)
-    if seed < 0:
-        raise InputError(f"{what} {seed} is negative")
-    return seed
+def _as_nonnegative(value, what: str) -> int:
+    """A random seed or a qubit count as int; non-integers and negative integers raise InputError."""
+    n = _as_index(value, what)
+    if n < 0:
+        raise InputError(f"{what} {n} is negative")
+    return n
 
 
 def _as_site(value, m: int, what: str = "site") -> int:
@@ -70,8 +63,8 @@ def _as_pair(pair, m: int, what: str = "pair") -> tuple[int, int]:
 
 
 def _as_state(x, m: int) -> np.ndarray:
-    """x as a complex array (no copy for complex input); raises InputError unless its shape is (2^m, 2^m)."""
-    x = np.asarray(x, dtype=complex)
+    """x as a complex array (no copy for complex input); InputError unless m is a qubit count and x is 2^m x 2^m."""
+    x, m = np.asarray(x, dtype=complex), _as_nonnegative(m, "qubit count m")
     if x.shape != (1 << m, 1 << m):
         raise InputError(f"shape {x.shape} does not match m={m}, expected {(1 << m, 1 << m)}")
     return x
@@ -79,7 +72,7 @@ def _as_state(x, m: int) -> np.ndarray:
 
 def _as_count(k, m: int) -> int:
     """An excitation count of an m-qubit register as int; non-integers and counts outside 0..m raise InputError."""
-    k = _as_index(k, "excitation count")
+    k, m = _as_index(k, "excitation count"), _as_nonnegative(m, "qubit count m")
     if not 0 <= k <= m:
         raise InputError(f"excitation count {k} out of range 0..{m}")
     return k
@@ -134,51 +127,3 @@ def is_connected(topology: NetworkTopology) -> bool:
             if reached.intersection(pair):
                 reached.update(pair)
     return len(reached) == topology.m
-
-
-def _site_axes(pi, m: int) -> list[int]:
-    """0-based qubit-tensor axes of the validated site permutation pi."""
-    images = [_as_index(p, "permutation image") for p in pi]
-    if len(images) != m or sorted(images) != list(range(1, m + 1)):
-        raise InputError(f"{pi!r} is not a permutation of 1..{m}")
-    return [p - 1 for p in images]
-
-
-def permute_sites(x: np.ndarray, pi, m: int) -> np.ndarray:
-    """U_pi x U_pi^dag for a 2^m x 2^m operator x (U_pi as in permutation_unitary).
-
-    One transpose of the (2,)*2m qubit-tensor view: site i of the output, on
-    the row side and on the column side, is site pi(i) of the input.
-    """
-    axes = _site_axes(pi, m)
-    x = _as_state(x, m)
-    return x.reshape((2,) * (2 * m)).transpose(axes + [m + a for a in axes]).reshape(x.shape)
-
-
-def permutation_unitary(pi, m: int) -> np.ndarray:
-    """Unitary representation of a subsystem permutation.
-
-    Defined by U_pi (X_1 (x) ... (x) X_m) U_pi^dag = X_pi(1) (x) ... (x) X_pi(m)
-    for all single-site operator tuples; on basis strings,
-    U_pi |b_1 ... b_m> = |b_pi(1) ... b_pi(m)>.  It is the identity with its
-    row axes permuted.
-    """
-    axes = _site_axes(pi, m)
-    dim = 1 << m
-    eye = np.eye(dim, dtype=complex).reshape((2,) * (2 * m))
-    return eye.transpose(axes + list(range(m, 2 * m))).reshape(dim, dim)
-
-
-def embed_neighborhood(op: np.ndarray, pair, m: int) -> np.ndarray:
-    """Operator acting as the given 4x4 block on sites (j, k), identity elsewhere.
-
-    Non-adjacent pairs are handled by conjugating with the site permutation
-    that brings j, k to the two leading slots.
-    """
-    op = np.asarray(op, dtype=complex)
-    if op.shape != (4, 4):
-        raise InputError(f"expected a 4x4 neighborhood operator, got shape {op.shape}")
-    j, k = _as_pair(pair, m)
-    rest = iter(range(3, m + 1))
-    images = [1 if s == j else 2 if s == k else next(rest) for s in range(1, m + 1)]
-    return permute_sites(np.kron(op, np.eye(1 << (m - 2), dtype=complex)), images, m)

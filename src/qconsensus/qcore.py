@@ -17,7 +17,6 @@ from .network import InputError, _as_index, _as_real, _as_site, _as_state
 
 __all__ = [
     "I2",
-    "SIGMA_X",
     "SIGMA_Z",
     "ket",
     "basis_ket",
@@ -42,7 +41,6 @@ __all__ = [
 ]
 
 I2 = np.eye(2, dtype=complex)
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 # Default numerical tolerances for state and channel validation.
@@ -64,7 +62,7 @@ def ket(amplitudes) -> np.ndarray:
 
 def basis_ket(dim: int, index: int) -> np.ndarray:
     """Computational basis vector |index> in a dim-dimensional space."""
-    index = _as_index(index, "basis index")
+    index, dim = _as_index(index, "basis index"), _as_index(dim, "dimension")
     if not 0 <= index < dim:
         raise InputError(f"basis index {index} out of range for dim {dim}")
     v = np.zeros(dim, dtype=complex)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import ChannelFamily, build_channels
-from .network import InputError, NetworkTopology, _as_count, _as_index, _as_real, _as_seed, _as_site, _as_state, is_connected
+from .network import InputError, NetworkTopology, _as_count, _as_index, _as_nonnegative, _as_real, _as_site, _as_state, is_connected
 from .qcore import (
     PSD_ATOL,
     _apply_pairs,
@@ -95,7 +95,7 @@ class Schedule:
         elif self.seed is None:
             raise InputError("random schedules need a seed")
         else:
-            object.__setattr__(self, "seed", _as_seed(self.seed, "schedule seed"))
+            object.__setattr__(self, "seed", _as_nonnegative(self.seed, "schedule seed"))
 
     @classmethod
     def cyclic(cls, order=None) -> "Schedule":
@@ -141,7 +141,7 @@ def random_density(seed: int, dim: int) -> np.ndarray:
     dim = _as_index(dim, "dimension")
     if dim < 2:
         raise InputError(f"need dim >= 2, got {dim}")
-    rng = np.random.default_rng(_as_seed(seed, "random_density seed"))
+    rng = np.random.default_rng(_as_nonnegative(seed, "random_density seed"))
     spectrum = rng.dirichlet(np.ones(dim))
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
@@ -335,7 +335,7 @@ def convergence_probability(
         raise InputError(f"need trials >= 1, got {trials}")
     if (horizon := _as_index(horizon, "horizon")) < 0:
         raise InputError(f"need horizon >= 0, got {horizon}")
-    seed = _as_seed(seed, "master seed")
+    seed = _as_nonnegative(seed, "master seed")
     if not is_connected(topology):
         raise InputError("convergence estimation requires a connected interaction graph")
     m = topology.m
@@ -396,11 +396,10 @@ def measure_global_observable(rho: np.ndarray, m: int, rng: np.random.Generator)
 
 
 def apply_flip(rho: np.ndarray, site: int, m: int) -> np.ndarray:
-    """Conjugate by sigma_x on one site (exact basis relabeling)."""
+    """Conjugate by sigma_x on one site: a new array, rho with that site's row and column axes reversed."""
     site = _as_site(site, m)
     rho = _as_state(rho, m)
-    idx = np.arange(1 << m) ^ (1 << (m - site))
-    return rho[np.ix_(idx, idx)]
+    return np.flip(rho.reshape((2,) * (2 * m)), (site - 1, m + site - 1)).copy().reshape(rho.shape)
 
 
 @dataclass(frozen=True)

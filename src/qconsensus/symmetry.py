@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .network import InputError, _as_count, _as_state, permute_sites
+from .network import InputError, _as_count, _as_index, _as_nonnegative, _as_state
 
 __all__ = [
     "dicke_ket",
@@ -39,9 +39,13 @@ __all__ = [
 ]
 
 
-@cache
 def site_bits(m: int) -> np.ndarray:
     """Read-only (2^m, m) table: entry [n, i] is the bit of site i + 1 in index n."""
+    return _site_bits(_as_nonnegative(m, "qubit count m"))  # gated before the cache, where True would read as 1
+
+
+@cache
+def _site_bits(m: int) -> np.ndarray:
     bits = (np.arange(1 << m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
     bits.setflags(write=False)
     return bits
@@ -84,7 +88,7 @@ def schmidt_reconstruct(m: int, k: int, m_a: int) -> np.ndarray:
     with terms skipped when ka > m_a or kb > m_b.
     """
     k = _as_count(k, m)
-    if not 1 <= m_a < m:
+    if not 1 <= (m_a := _as_index(m_a, "split size")) < m:
         raise InputError(f"split size {m_a} must satisfy 1 <= m_a < m={m}")
     m_b = m - m_a
     v = np.zeros(1 << m, dtype=complex)
@@ -107,14 +111,14 @@ def global_observable(m: int) -> np.ndarray:
 
     Eigenvalue on a k-excitation basis string: 2*(m - k).
     """
-    if m < 1:
+    if _as_index(m, "qubit count m") < 1:
         raise InputError("need m >= 1")
     return np.diag(global_observable_diagonal(m)).astype(complex)
 
 
 def smc_projector(m: int) -> np.ndarray:
     """Projector onto span{|00...0>, |11...1>}."""
-    if m < 1:
+    if _as_index(m, "qubit count m") < 1:
         raise InputError("need m >= 1")
     dim = 1 << m
     p = np.zeros((dim, dim), dtype=complex)
@@ -127,16 +131,15 @@ def is_ssc(rho: np.ndarray, m: int, tol: float = 1e-9) -> tuple[bool, float]:
     """Symmetric-state consensus test.
 
     Returns (verdict, residual) where the residual is the max-abs change of
-    rho under conjugation by any adjacent-transposition unitary.  Adjacent
-    transpositions generate the full permutation group, so checking the m-1
-    generators suffices.
+    rho under conjugation by any adjacent-transposition unitary, which swaps
+    the row axes i, i+1 and the column axes of the qubit-tensor view.
+    Adjacent transpositions generate the full permutation group, so checking
+    the m-1 generators suffices.
     """
-    rho = _as_state(rho, m)
+    t = _as_state(rho, m).reshape((2,) * (2 * m))
     residual = 0.0  # np.maximum, unlike max, keeps a NaN, so garbage never reads as consensus
     for i in range(1, m):
-        images = list(range(1, m + 1))
-        images[i - 1], images[i] = images[i], images[i - 1]
-        residual = np.maximum(residual, np.max(np.abs(permute_sites(rho, images, m) - rho)))
+        residual = np.maximum(residual, np.max(np.abs(t.swapaxes(i - 1, i).swapaxes(m + i - 1, m + i) - t)))
     return bool(residual <= tol), float(residual)
 
 

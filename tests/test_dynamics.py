@@ -14,7 +14,7 @@ from qconsensus.dynamics import (
     ssc_feedback_decomposition,
     ssc_pair_channel,
 )
-from qconsensus.network import NetworkTopology, embed_neighborhood
+from qconsensus.network import NetworkTopology
 from qconsensus.qcore import (
     KrausChannel,
     apply_channel,
@@ -27,6 +27,8 @@ from qconsensus.qcore import (
 )
 from qconsensus.simulator import Schedule, random_density, run
 from qconsensus.symmetry import dicke_ket, global_observable, v_smc, v_total
+
+from dense_reference import embed_neighborhood
 
 R2 = 1.0 / np.sqrt(2.0)
 

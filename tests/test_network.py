@@ -10,15 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qconsensus.dynamics import gossip_channel, smc_channel, ssc_channel
-from qconsensus.network import (
-    InputError,
-    NetworkTopology,
-    embed_neighborhood,
-    is_connected,
-    permutation_unitary,
-    permute_sites,
-)
+from qconsensus.network import InputError, NetworkTopology, is_connected
 from qconsensus.qcore import bitstring_ket
+
+from dense_reference import embed_neighborhood, permutation_unitary, permute_sites
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 

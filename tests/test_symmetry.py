@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qconsensus.network import permutation_unitary
 from qconsensus.qcore import bitstring_ket, ket_to_density, purity
 from qconsensus.simulator import random_density
 from qconsensus.symmetry import (
@@ -28,6 +27,8 @@ from qconsensus.symmetry import (
     v_smc,
     v_total,
 )
+
+from dense_reference import permutation_unitary
 
 R2 = 1.0 / np.sqrt(2.0)
 
