@@ -27,7 +27,7 @@ for step in (1, 5, 20, 60, 200):
     rec = result.records[step - 1]
     print(f"{rec.step:>4}   {rec.smc_population:.10f}{'':14}{rec.v_smc:.3e}    {rec.s_expectation:.9f}")
 
-ok, population, pairwise = is_smc(result.final_state, 3, tol=1e-9)
+ok, population, pairwise = is_smc(result.final_state, 3)
 print()
 print(f"single-measurement consensus reached: {ok}")
 print(f"pairwise correlation residual: {pairwise:.3e}")

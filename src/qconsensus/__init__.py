@@ -53,8 +53,6 @@ from .simulator import (
     write_trajectory_csv,
 )
 from .symmetry import (
-    ConsensusReport,
-    consensus_report,
     dicke_ket,
     global_observable,
     gossip_fixed_point,

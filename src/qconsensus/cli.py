@@ -3,15 +3,16 @@
 Experiments are described by a YAML config file.  CONFIG_SCHEMA, printed by
 `qconsensus --print-schema`, is also the config's key list: a key it lacks is
 an InputError, and each config command checks its whole config and output
-path before it evolves a state.  Exit codes: 0 success; 1 usage error or
-InputError (a malformed config or a bad library argument); 2 failed
-verification, or any other ValueError, FloatingPointError or LinAlgError (a
-numeric invariant violation).
+path before it evolves a state.  Exit codes: 0 success; 1 usage error,
+InputError (a malformed config or a bad library argument) or standard output
+closed early (`| head`; no traceback); 2 failed verification, or any other
+ValueError, FloatingPointError or LinAlgError (a numeric invariant violation).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from .simulator import (
     run,
     write_trajectory_csv,
 )
-from .symmetry import consensus_report, dicke_ket
+from .symmetry import dicke_ket, is_smc, is_ssc
 
 CONFIG_SCHEMA = """\
 # qconsensus experiment configuration (YAML)
@@ -218,15 +219,14 @@ def cmd_run(args) -> int:
     steps = _int_value(cfg, "steps")
     path = _output_path(args, cfg, f"{family.kind}_trajectory.csv")
     result = _run_to_csv(args, path, rho0, topology, family, schedule, steps)
-    report, last = consensus_report(result.final_state, topology.m), result.records[-1]
+    last, final = result.records[-1], result.final_state
     print(f"steps executed:       {len(result.records)}")
     print(f"final purity:         {last.purity:.6g}")
     print(f"final s_expectation:  {last.s_expectation:.6g}")
     print(f"final v_total:        {last.v_total:.6g}")
     print(f"final v_smc:          {last.v_smc:.6g}")
-    print(f"ssc residual:         {report.ssc_residual:.3e}")
-    print(f"smc population:       {report.smc_population:.6g} "
-          f"(pairwise residual {report.smc_pairwise_residual:.3e})")
+    print(f"ssc residual:         {is_ssc(final, topology.m)[1]:.3e}")
+    print(f"smc population:       {last.smc_population:.6g} (pairwise residual {is_smc(final, topology.m)[2]:.3e})")
     return 0
 
 
@@ -349,7 +349,12 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # here, not at exit, so a closed pipe is caught below
+        return code
+    except BrokenPipeError:  # the reader left early; stdout now points at os.devnull, so the exit flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except InputError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

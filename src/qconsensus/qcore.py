@@ -3,7 +3,8 @@
 Basis convention used everywhere in this package: the computational basis of
 an m-qubit space is indexed by the integer value of the bit string
 b1 b2 ... bm with site 1 as the most significant bit, so |01> has index 1 in
-a two-qubit space.  All arrays are complex double precision.
+a two-qubit space.  States and Kraus operators are complex double precision;
+a real pair superoperator (as for gossip, ssc and smc) is stored as float64.
 """
 
 from __future__ import annotations

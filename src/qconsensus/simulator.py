@@ -180,12 +180,14 @@ def _record(step: int, flat: np.ndarray, diag: np.ndarray, table, psd_debt: floa
 
 
 def lyapunov_gap(family: ChannelFamily, rho: np.ndarray, m: int, *, gossip_target: np.ndarray | None = None) -> float:
-    """Distance-to-target value that the family's dynamics drive to zero.
+    """The family's Lyapunov value minus its limit, which its dynamics drive to zero.
 
     ssc: v_total - m (zero iff supported on the Dicke span); smc: v_smc.
-    For gossip the target set is a single state (the permutation average of
-    the initial state), so the squared Hilbert-Schmidt distance to
-    `gossip_target` is used and the caller must supply it.
+    gossip: purity(rho) - purity(gossip_target), the caller supplying the
+    permutation average gossip_target = P(rho0).  P is a Hilbert-Schmidt-
+    orthogonal projector that every gossip map leaves unchanged, so whenever
+    P(rho) = gossip_target this is ||rho - gossip_target||^2 exactly.  Like
+    v_total - m it is a difference of O(1) values, so near zero it reads +-1e-16.
     """
     if family.kind == "ssc":
         return v_total(rho, m) - m
@@ -193,8 +195,7 @@ def lyapunov_gap(family: ChannelFamily, rho: np.ndarray, m: int, *, gossip_targe
         return v_smc(rho, m)
     if gossip_target is None:
         raise InputError("gossip convergence needs the permutation-average target state")
-    delta = np.asarray(rho, dtype=complex) - gossip_target
-    return float(np.vdot(delta, delta).real)
+    return purity(_as_state(rho, m)) - purity(gossip_target)
 
 
 def run(
@@ -220,14 +221,15 @@ def run(
     validate : keep every state within the density-matrix invariants of
         validate_density_matrix, and raise ValueError when one fails; disable
         for benchmark runs
-    early_stop : stop once the family's Lyapunov gap stays below
-        EARLY_STOP_THRESHOLD for 2*m consecutive steps
+    early_stop : stop once the family's Lyapunov gap (lyapunov_gap: a
+        record field minus its limit) stays below EARLY_STOP_THRESHOLD for
+        2*m consecutive steps
 
     The state stays in the pair kernel's carried layout (qcore._pair_step), a
     site relabeling of rho with the last step's pair first, so a step is one
-    transposed copy and one matmul.  Trace, S, purity, P_smc, the Dicke
-    populations and the gossip target are invariant under site relabeling, so
-    the record, the trace check and the early-stop gap read it as it is;
+    transposed copy and one matmul.  Trace, S, purity, P_smc and the Dicke
+    populations are invariant under site relabeling, so the record and the
+    trace check read it as it is, and the early-stop gap reads the record;
     canonical order comes back only on a copy for each anchor and at the end.
 
     Validation does not factorize every state.  It checks the trace each
@@ -271,10 +273,10 @@ def run(
     else:
         picks = _random_picks(topology, schedule.seed, steps)
 
-    d, block = 1 << m, 1 << (m - 2)
-    table = _readout(m, block)
-    if early_stop and family.kind == "gossip":  # S_m-invariant, so one block form serves every layout
-        target = gossip_fixed_point(rho, m).reshape(4, block, 4, block).transpose(0, 2, 1, 3).reshape(-1)
+    d, table = 1 << m, _readout(m, 1 << (m - 2))
+    if early_stop:  # the gap is the record field minus its limit (see lyapunov_gap)
+        field, limit = ("v_total", m) if family.kind == "ssc" else ("v_smc", 0.0) if family.kind == "smc" else (
+            "purity", purity(gossip_fixed_point(rho, m)))
     if validate:
         step_bounds = [apply_error_bound(ch) for ch in channels]
         norm_f = math.sqrt(purity(rho))
@@ -287,9 +289,7 @@ def run(
         diag = flat[table.diag]
         rec = _record(t, flat, diag, table, None if debt is None else debt + step_bounds[idx] * norm_f)
         if early_stop:
-            gap = lyapunov_gap(family, flat, m, gossip_target=target) if family.kind == "gossip" else (
-                rec.v_total - m if family.kind == "ssc" else rec.v_smc)
-            quiet = quiet + 1 if gap < EARLY_STOP_THRESHOLD else 0
+            quiet = quiet + 1 if getattr(rec, field) - limit < EARLY_STOP_THRESHOLD else 0
         stop = quiet >= 2 * m
         if validate:
             try:

@@ -8,7 +8,6 @@ excitation count k, never by the eigenvalue.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import comb
 from typing import NamedTuple
@@ -34,9 +33,9 @@ __all__ = [
     "v_smc",
     "gossip_fixed_point",
     "per_site_expectations",
-    "ConsensusReport",
-    "consensus_report",
 ]
+
+CONSENSUS_ATOL = 1e-9  # is_ssc's residual and is_smc's 1 - population must not exceed it
 
 
 def site_bits(m: int) -> np.ndarray:
@@ -62,19 +61,10 @@ def excitation_indices(m: int, k: int) -> list[int]:
     return np.flatnonzero(excitation_counts(m) == k).tolist()
 
 
-@cache
-def _dicke_matrix(m: int) -> np.ndarray:
-    """Read-only (2^m, m+1) matrix whose column k is the Dicke ket (m, k)."""
-    d = (excitation_counts(m)[:, None] == np.arange(m + 1)).astype(float)
-    d /= np.sqrt(d.sum(0))
-    d.setflags(write=False)
-    return d
-
-
 def dicke_ket(m: int, k: int) -> np.ndarray:
     """Equal superposition of all C(m, k) basis strings with k excitations."""
     k = _as_count(k, m)
-    return _dicke_matrix(m)[:, k].astype(complex)
+    return (excitation_counts(m) == k).astype(complex) / np.sqrt(comb(m, k))
 
 
 def schmidt_reconstruct(m: int, k: int, m_a: int) -> np.ndarray:
@@ -127,29 +117,29 @@ def smc_projector(m: int) -> np.ndarray:
     return p
 
 
-def is_ssc(rho: np.ndarray, m: int, tol: float = 1e-9) -> tuple[bool, float]:
+def is_ssc(rho: np.ndarray, m: int) -> tuple[bool, float]:
     """Symmetric-state consensus test.
 
     Returns (verdict, residual) where the residual is the max-abs change of
     rho under conjugation by any adjacent-transposition unitary, which swaps
     the row axes i, i+1 and the column axes of the qubit-tensor view.
     Adjacent transpositions generate the full permutation group, so checking
-    the m-1 generators suffices.
+    the m-1 generators suffices.  The verdict is residual <= CONSENSUS_ATOL.
     """
     t = _as_state(rho, m).reshape((2,) * (2 * m))
     residual = 0.0  # np.maximum, unlike max, keeps a NaN, so garbage never reads as consensus
     for i in range(1, m):
         residual = np.maximum(residual, np.max(np.abs(t.swapaxes(i - 1, i).swapaxes(m + i - 1, m + i) - t)))
-    return bool(residual <= tol), float(residual)
+    return bool(residual <= CONSENSUS_ATOL), float(residual)
 
 
-def is_smc(rho: np.ndarray, m: int, tol: float = 1e-9) -> tuple[bool, float, float]:
+def is_smc(rho: np.ndarray, m: int) -> tuple[bool, float, float]:
     """Single-measurement consensus test for sigma_z.
 
     Returns (verdict, population, pairwise_residual): population is the
     weight Tr(P_SMC rho) on span{|0...0>, |1...1>}; the pairwise residual is
     the worst violation of Tr(P_j^(k) P_j^(l) rho) = Tr(P_j^(l) rho) over
-    outcomes j in {0,1} and site pairs.  The verdict is population >= 1-tol.
+    outcomes j in {0,1} and site pairs; verdict: population >= 1 - CONSENSUS_ATOL.
     """
     rho = _as_state(rho, m)
     diag = np.real(np.diag(rho))
@@ -161,13 +151,12 @@ def is_smc(rho: np.ndarray, m: int, tol: float = 1e-9) -> tuple[bool, float, flo
         singles = diag @ masks
         joint = (masks * diag[:, None]).T @ masks
         residual = np.maximum(residual, np.max(np.abs(joint - singles)[off_diagonal], initial=0.0))
-    return population >= 1.0 - tol, population, float(residual)
+    return population >= 1.0 - CONSENSUS_ATOL, population, float(residual)
 
 
 def v_dicke(rho: np.ndarray, m: int, k: int) -> float:
     """Lyapunov value 1 - <(m,k)| rho |(m,k)> for one Dicke target."""
-    d = dicke_ket(m, k)
-    return 1.0 - float(np.real(d.conj() @ _as_state(rho, m) @ d))
+    return 1.0 - float(dicke_populations(rho, m)[_as_count(k, m)])
 
 
 class _Readout(NamedTuple):
@@ -248,26 +237,3 @@ def per_site_expectations(rho: np.ndarray, m: int) -> np.ndarray:
     """
     diag = np.real(np.diag(_as_state(rho, m)))
     return 2.0 * (diag @ (1 - site_bits(m)))
-
-
-@dataclass(frozen=True)
-class ConsensusReport:
-    """Scalar consensus diagnostics for one state."""
-
-    ssc_residual: float
-    smc_population: float
-    smc_pairwise_residual: float
-    s_expectation: float
-
-
-def consensus_report(rho: np.ndarray, m: int) -> ConsensusReport:
-    rho = _as_state(rho, m)
-    _, ssc_residual = is_ssc(rho, m)
-    _, population, pairwise = is_smc(rho, m)
-    s_exp = float(np.dot(global_observable_diagonal(m), np.real(np.diag(rho))))
-    return ConsensusReport(
-        ssc_residual=ssc_residual,
-        smc_population=population,
-        smc_pairwise_residual=pairwise,
-        s_expectation=s_exp,
-    )

@@ -1,13 +1,19 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qconsensus import cli
 from qconsensus.cli import _wilson_interval, main
-from qconsensus.network import InputError
-from qconsensus.qcore import load_matrix, save_matrix
-from qconsensus.simulator import random_density
+from qconsensus.dynamics import ChannelFamily
+from qconsensus.network import InputError, NetworkTopology
+from qconsensus.qcore import ket_to_density, load_matrix, save_matrix
+from qconsensus.simulator import Schedule, random_density, run
+from qconsensus.symmetry import dicke_ket, is_smc, is_ssc
 
 BASE_CONFIG = """\
 topology:
@@ -43,6 +49,55 @@ def test_run_writes_csv_and_summary(tmp_path, capsys):
     assert len(lines) == 41
     assert lines[0].startswith("step,purity,s_expectation")
     assert all(len(line.split(",")) == 10 for line in lines)
+
+
+def test_run_summary_prints_the_consensus_residuals_of_the_final_state(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(
+        "topology:\n  m: 3\n  edges: [[1, 2], [2, 3]]\nfamily: {kind: ssc}\n"
+        "schedule: {mode: cyclic, order: [0, 1]}\nsteps: 10\ninitial_state: {kind: dicke, k: 1}\n"
+    )
+    assert main(["run", "--config", str(cfg_path), "--output-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    topology = NetworkTopology(m=3, neighborhoods=((1, 2), (2, 3)))
+    result = run(ket_to_density(dicke_ket(3, 1)), topology, ChannelFamily.ssc(), Schedule.cyclic((0, 1)), 10)
+    _, ssc_residual = is_ssc(result.final_state, 3)
+    _, population, pairwise = is_smc(result.final_state, 3)
+    assert population == result.records[-1].smc_population
+    assert f"ssc residual:         {ssc_residual:.3e}\n" in out
+    assert f"smc population:       {population:.6g} (pairwise residual {pairwise:.3e})\n" in out
+    # The W state is a fixed point of ssc: symmetric, with no weight on |000> or |111>.
+    assert ssc_residual < 1e-12 and abs(population) < 1e-12
+    assert f"final s_expectation:  {4.0:.6g}\n" in out
+
+
+@pytest.mark.parametrize("when", ["after-one-line", "before-start"])
+def test_closed_stdout_pipe_ends_without_a_traceback(when):
+    # after-one-line: unbuffered output, the reader takes the first line and
+    # closes the pipe while the family is certified, before the rows are
+    # printed.  before-start: buffered output into a pipe nobody reads, so the
+    # one write happens when the command flushes its output.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONUNBUFFERED", None)
+    argv = [sys.executable, "-m", "qconsensus.cli", "verify", "--family", "smc", "--m", "3"]
+    if when == "after-one-line":
+        env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline().startswith(b"verify: family=smc m=3")
+        proc.stdout.close()
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        proc = subprocess.Popen(argv, stdout=write_end, stderr=subprocess.PIPE, env=env)
+        os.close(write_end)
+    err = proc.stderr.read().decode()
+    code = proc.wait(timeout=60)
+    proc.stderr.close()
+    assert err == "", err
+    # Exit 1 once a write met the closed pipe; after-one-line can only exit 0
+    # if every row was written before the reader closed it.
+    assert code == 1 or (when == "after-one-line" and code == 0)
 
 
 def test_run_is_bit_identical_for_same_config(tmp_path):

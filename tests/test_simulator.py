@@ -501,6 +501,27 @@ def test_pair_kernel_trial_matches_the_dense_run_replay(family, m, graph):
         assert np.max(np.abs(out - expected)) <= 1e-12
 
 
+def _hs_distance_sq(a, b):
+    return float(np.sum(np.abs(a - b) ** 2))
+
+
+@pytest.mark.parametrize("graph", ["path", "ring-chord", "complete"])
+@pytest.mark.parametrize("m", range(2, 7))
+def test_gossip_gap_is_the_squared_distance_to_the_permutation_average(m, graph):
+    # Gossip commutes with the permutation average P, an orthogonal projector,
+    # so purity(rho_t) - purity(P(rho0)) = ||rho_t - P(rho0)||^2 at every step.
+    topology = NetworkTopology(m=m, neighborhoods=_kernel_graphs(m)[graph])
+    family = ChannelFamily.gossip(0.3)
+    channels = build_channels(family, topology)
+    for seed in range(2):
+        rho = random_density(80 + 10 * m + seed, 1 << m)
+        target = gossip_fixed_point(rho, m)
+        for idx in simulator._random_picks(topology, seed, 40):
+            rho = apply_channel(channels[idx], rho, validate=False)
+            gap = lyapunov_gap(family, rho, m, gossip_target=target)
+            assert abs(gap - _hs_distance_sq(rho, target)) <= 1e-12
+
+
 @pytest.mark.parametrize("validate", [True, False], ids=["validated", "unvalidated"])
 @pytest.mark.parametrize("start", ["dense", "ghz"])
 @pytest.mark.parametrize("graph", ["path", "ring-chord", "complete"])
@@ -512,7 +533,8 @@ def test_carried_run_records_match_the_canonical_replay(monkeypatch, family, m, 
     # run reads its records, trace checks and early-stop gaps from the pair
     # kernel's site-relabeled layout; the replay reads the canonical matrix.
     # The GHZ start is a fixed point of all three families, so every run
-    # stops early on it (the gossip gap then reads the target's block form).
+    # stops early on it.  The replay's gossip gap is the squared
+    # Hilbert-Schmidt distance to the target, run's the purity difference.
     topology = NetworkTopology(m=m, neighborhoods=_kernel_graphs(m)[graph])
     ghz = ket_to_density(bitstring_ket("0" * m) + bitstring_ket("1" * m)) / 2
     rho0 = random_density(70 + m, 1 << m) if start == "dense" else ghz
@@ -529,7 +551,8 @@ def test_carried_run_records_match_the_canonical_replay(monkeypatch, family, m, 
     states, quiet = [rho0], 0
     for idx in simulator._random_picks(topology, m, 30):
         states.append(apply_channel(channels[idx], states[-1], validate=False))
-        quiet = quiet + 1 if lyapunov_gap(family, states[-1], m, gossip_target=target) < 1e-10 else 0
+        gap = _hs_distance_sq(states[-1], target) if family.kind == "gossip" else lyapunov_gap(family, states[-1], m)
+        quiet = quiet + 1 if gap < 1e-10 else 0
         if quiet >= 2 * m:
             break
     assert len(result.records) == len(states) - 1

@@ -1,5 +1,5 @@
 from itertools import permutations
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from qconsensus.qcore import bitstring_ket, ket_to_density, purity
 from qconsensus.simulator import random_density
 from qconsensus.symmetry import (
-    _dicke_matrix,
-    consensus_report,
+    _readout,
     dicke_ket,
     dicke_populations,
     excitation_counts,
@@ -60,7 +59,7 @@ def test_dicke_invariants(m):
     for k in range(m + 1):
         d = dicke_ket(m, k)
         assert abs(np.linalg.norm(d) - 1.0) < 1e-12
-        ok, residual = is_ssc(ket_to_density(d), m, tol=1e-12)
+        ok, residual = is_ssc(ket_to_density(d), m)
         assert ok and residual <= 1e-12
         s = global_observable(m)
         assert np.max(np.abs(s @ d - 2.0 * (m - k) * d)) < 1e-12
@@ -177,8 +176,8 @@ def test_smc_population_one_implies_ssc(m):
         rho[np.ix_([0, dim - 1], [0, dim - 1])] = block
         ok, population, _ = is_smc(rho, m)
         assert ok and abs(population - 1.0) < 1e-12
-        ssc_ok, residual = is_ssc(rho, m, tol=1e-9)
-        assert ssc_ok, residual
+        ssc_ok, residual = is_ssc(rho, m)
+        assert ssc_ok and residual <= 1e-9, residual
 
 
 def test_v_dicke_values():
@@ -230,8 +229,8 @@ def test_gossip_fixed_point_properties():
     for seed in range(5):
         rho = random_density(seed + 60, 8)
         star = gossip_fixed_point(rho, 3)
-        ok, _ = is_ssc(star, 3, tol=1e-12)
-        assert ok
+        ok, residual = is_ssc(star, 3)
+        assert ok and residual <= 1e-12
         drift = abs(np.trace(s @ star) - np.trace(s @ rho))
         assert drift < 1e-10
         assert purity(star) <= purity(rho) + 1e-12
@@ -252,15 +251,6 @@ def test_per_site_expectations():
     # At consensus every site reads the same value.
     w = ket_to_density(dicke_ket(3, 1))
     assert np.allclose(per_site_expectations(w, 3), [4.0 / 3.0] * 3)
-
-
-def test_consensus_report_fields():
-    rho = ket_to_density(dicke_ket(3, 1))
-    report = consensus_report(rho, 3)
-    assert report.ssc_residual < 1e-12
-    assert abs(report.smc_population) < 1e-12
-    assert abs(report.s_expectation - 4.0) < 1e-12
-    assert np.isfinite(report.smc_pairwise_residual)
 
 
 @pytest.mark.parametrize("m", [4, 5])
@@ -288,6 +278,7 @@ def test_dicke_populations_match_dicke_ket_quadratic_forms(seed, m):
     rho = random_density(seed, 1 << m)
     expected = [np.real(dicke_ket(m, k).conj() @ rho @ dicke_ket(m, k)) for k in range(m + 1)]
     assert np.max(np.abs(dicke_populations(rho, m) - expected)) < 1e-14
+    assert max(abs(v_dicke(rho, m, k) - (1 - expected[k])) for k in range(m + 1)) < 1e-14
     assert abs(v_total(rho, m) - sum(v_dicke(rho, m, k) for k in range(m + 1))) < 1e-13
 
 
@@ -298,7 +289,8 @@ def test_dicke_populations_match_the_dicke_matrix_formula(m):
     x = rng.standard_normal((1 << m, 1 << m)) + 1j * rng.standard_normal((1 << m, 1 << m))
     rho = x @ x.conj().T
     rho /= np.trace(rho).real
-    d = _dicke_matrix(m)
+    popcounts = np.array([bin(n).count("1") for n in range(1 << m)])
+    d = (popcounts[:, None] == np.arange(m + 1)) / np.sqrt([comb(m, k) for k in range(m + 1)])
     assert np.max(np.abs(dicke_populations(rho, m) - np.sum(d * (np.real(rho) @ d), axis=0))) <= 1e-12
 
 
@@ -313,10 +305,10 @@ def test_site_bits_msb_first():
 
 
 def test_cached_tables_are_read_only():
-    for table in (site_bits(4), _dicke_matrix(4)):
+    for table in (site_bits(4), *_readout(4, 4), *_readout(4, 16)):
         assert not table.flags.writeable
         with pytest.raises(ValueError):
-            table[0, 0] = 1
+            table.flat[0] = 1
 
 
 def test_is_smc_single_site_has_no_pairwise_residual():
@@ -340,8 +332,8 @@ def test_site_bit_diagnostics_match_loop_reference(m):
 
 @pytest.mark.parametrize(
     "readout",
-    [dicke_populations, v_total, lambda rho, m: v_dicke(rho, m, 1), is_smc, is_ssc, consensus_report, per_site_expectations],
-    ids=["dicke_populations", "v_total", "v_dicke", "is_smc", "is_ssc", "consensus_report", "per_site_expectations"],
+    [dicke_populations, v_total, lambda rho, m: v_dicke(rho, m, 1), is_smc, is_ssc, v_smc, per_site_expectations],
+    ids=["dicke_populations", "v_total", "v_dicke", "is_smc", "is_ssc", "v_smc", "per_site_expectations"],
 )
 def test_symmetry_readouts_reject_a_wrong_size_state(readout):
     with pytest.raises(ValueError, match=r"shape \(8, 8\) does not match m=2"):
