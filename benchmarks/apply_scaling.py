@@ -4,8 +4,10 @@
 
 Imports `qconsensus` from `--src` (default: `src/` of this checkout), so the
 same script measures any checkout of the package that has the pair kernel
-(`qcore._pair_step` and `qcore._apply_pairs`), the carried-layout record
-(`simulator._record` and `symmetry._readout`) and `dynamics.certify_family`.
+(`qcore._pair_step` and `qcore._apply_pairs`), the reduced Monte-Carlo trial
+(`simulator._gap_gather` over `qcore._gather_tables`), the carried-layout
+record (`simulator._record` and `symmetry._readout`) and
+`dynamics.certify_family`.
 For every m in `--sizes` and every family it times, on the pair
 (m//2, m//2 + 1) and a seeded dense state:
 
@@ -21,15 +23,18 @@ For every m in `--sizes` and every family it times, on the pair
 * convergence_s: one end-to-end `simulator.convergence_probability` on the
   m-site path graph from the seeded state (CONVERGENCE_TRIALS trials of
   CONVERGENCE_HORIZON steps, gamma CONVERGENCE_GAMMA), for m <= 8 only;
-* trial_step_s: one carried-layout step of the pair kernel
-  `qcore._apply_pairs` on a trial's state (the real part for ssc and smc,
-  the complex state for gossip), for m <= 8 only.  It is the time of one
-  CONVERGENCE_HORIZON-step trial on the path graph divided by its steps, so
-  it holds a 1/CONVERGENCE_HORIZON share of the trial's final return to
-  canonical order.  A step is one transposed copy and one matmul, and
-  trial_matmul_s times that matmul alone (16x16 superoperator times the
-  (16, d^2/16) view, float64 for all three families), which splits the step
-  into its copy and its product.
+* trial_step_s: one step of a `convergence_probability` trial on the m-site
+  path graph, the time of one CONVERGENCE_HORIZON-step trial divided by its
+  steps.  A gossip trial is the pair kernel `qcore._apply_pairs` on the
+  complex state (for m <= 8 only), so the time holds a
+  1/CONVERGENCE_HORIZON share of the trial's final return to canonical
+  order; trial_matmul_s times its matmul alone (16x16 superoperator times
+  the float64 (16, d^2/16) view), which splits the step into its transposed
+  copy and its product.  An ssc or smc trial (for m <= 10) is one gather,
+  np.add.reduce(coef * v[idx]), on the trial_entries entries of Re(rho) that
+  its gap reads and that every channel keeps closed (C(2m, m) for ssc, 2^m
+  for smc), and trial_tables_s times building those gather tables
+  (`simulator._gap_gather`), which every `convergence_probability` call does once.
 * run_step_s: one anchor-free step of a validated `simulator.run` on the
   m-site path graph, for m <= 10 only: the pair-kernel step in the carried
   layout, the record and the trace check.  It is the difference of the
@@ -107,19 +112,33 @@ def verify_fn(kind: str, m: int):
 
 
 def trial_split(family, topology, rho: np.ndarray, repeats: int) -> dict:
-    """Per-step time of one seeded trial of the pair kernel from rho, and of its matmul alone."""
+    """Per-step time of one seeded trial as `convergence_probability` runs it, and its split (see the module docstring)."""
     from qconsensus.dynamics import build_channels
     from qconsensus.qcore import _apply_pairs
+    from qconsensus.simulator import _gap_gather
 
-    x = rho if family.kind == "gossip" else rho.real
-    steps = [(ch, ch.superop) for ch in build_channels(family, topology)]
-    picks = np.random.default_rng(0).integers(len(steps), size=CONVERGENCE_HORIZON)
-    trial = [steps[i] for i in picks]
-    front = np.ascontiguousarray(x.reshape(16, -1))
-    front = front.view(np.float64) if front.dtype == complex else front
-    superop = steps[0][1]
+    channels = build_channels(family, topology)
+    picks = np.random.default_rng(0).integers(len(channels), size=CONVERGENCE_HORIZON)
+    if family.kind != "gossip":
+        kept, tables, _ = _gap_gather(family, channels, topology.m)
+        v0 = rho.real.reshape(-1)[kept]
+
+        def gather_trial():
+            v = v0
+            for i in picks:
+                idx, coef = tables[i]
+                v = np.add.reduce(coef * v[idx])
+
+        return {
+            "trial_step_s": median_time(gather_trial, repeats) / len(picks),
+            "trial_entries": len(kept),
+            "trial_tables_s": median_time(lambda: _gap_gather(family, channels, topology.m), repeats),
+        }
+    trial = [(channels[i], channels[i].superop) for i in picks]
+    front = np.ascontiguousarray(rho.reshape(16, -1)).view(np.float64)
+    superop = channels[0].superop
     return {
-        "trial_step_s": median_time(lambda: _apply_pairs(x, trial), repeats) / len(trial),
+        "trial_step_s": median_time(lambda: _apply_pairs(rho, trial), repeats) / len(trial),
         "trial_matmul_s": median_time(lambda: superop @ front, repeats),
     }
 
@@ -178,6 +197,7 @@ def layer_times(m: int) -> dict:
         if m <= 8:
             args = (rho, path, family, CONVERGENCE_GAMMA, CONVERGENCE_HORIZON, CONVERGENCE_TRIALS, 0)
             out[kind]["convergence_s"] = median_time(lambda: convergence_probability(*args), min(repeats, 5))
+        if m <= (8 if kind == "gossip" else 10):
             out[kind].update(trial_split(family, path, rho, repeats))
         del channel, after
     out["record_s"] = median_time(record_fn(m, rho), repeats)

@@ -309,6 +309,34 @@ def _pair_step(t: np.ndarray, layout, channel: KrausChannel, superop: np.ndarray
     return out.reshape(t.shape), channel.inverse_perm
 
 
+def _gather_tables(channels, reads: np.ndarray, weights: np.ndarray):
+    """The smallest flat entry set holding `reads` that every channel keeps closed, and each channel's gather on it.
+
+    The set starts as the flat positions `reads` (canonical layout) and grows
+    until every channel's kept outputs read only kept inputs (superop rows).
+    Returns the ascending kept positions; per channel (idx, coef) of shape
+    (K, N), N = len(kept), K the most nonzeros in a kept row, so a step on
+    v = x.flat[kept] is np.add.reduce(coef * v[idx]); and `weights` on kept.
+    """
+    mask = np.zeros(1 << (2 * channels[0].m), dtype=bool)
+    mask[reads] = True
+    while True:
+        kept, tables = np.flatnonzero(mask), []
+        for ch in channels:  # a superop index holds the row bits, then the column bits, of ch.sites in order
+            shifts = np.array([2 * ch.m - s for s in ch.sites] + [ch.m - s for s in ch.sites])
+            place = 1 << np.arange(len(shifts) - 1, -1, -1)
+            loc = ((kept[:, None] >> shifts) & 1) @ place
+            offsets = ((np.arange(len(ch.superop))[:, None] & place) > 0) @ (1 << shifts)
+            nonzero = ch.superop != 0
+            cols = np.argsort(~nonzero, axis=1, kind="stable")[loc, : nonzero.sum(1)[loc].max()]  # nonzeros first
+            coef, inputs = ch.superop[loc[:, None], cols], (kept - offsets[loc])[:, None] + offsets[cols]
+            mask[inputs[coef != 0]] = True
+            inputs[coef == 0] = kept[0]  # padding reads a kept entry
+            tables.append((np.searchsorted(kept, inputs.T), coef.T.copy()))
+        if np.count_nonzero(mask) == len(kept):
+            return kept, tables, np.bincount(np.searchsorted(kept, reads), weights, len(kept))
+
+
 def _apply_pairs(x: np.ndarray, steps) -> np.ndarray:
     """Apply (channel, superop) steps to x with _pair_step, restoring canonical order once, at the end."""
     t, layout = x.reshape((2,) * (x.size.bit_length() - 1)), None

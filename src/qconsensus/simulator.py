@@ -18,15 +18,7 @@ import numpy as np
 
 from .dynamics import ChannelFamily, build_channels
 from .network import InputError, NetworkTopology, _as_count, _as_index, _as_nonnegative, _as_real, _as_site, _as_state, is_connected
-from .qcore import (
-    PSD_ATOL,
-    _apply_pairs,
-    _pair_step,
-    apply_error_bound,
-    check_trace,
-    purity,
-    validate_density_matrix,
-)
+from .qcore import PSD_ATOL, _apply_pairs, _gather_tables, _pair_step, apply_error_bound, check_trace, purity, validate_density_matrix
 from .symmetry import (
     _readout,
     _sector_sums,
@@ -323,11 +315,16 @@ def convergence_probability(
     Trial t draws its neighborhoods i.i.d. from the topology's selection
     distribution (uniform if unset) with the generator seeded by
     SeedSequence(seed).spawn(trials)[t].generate_state(1)[0].  Channels are
-    built once per call; a trial is one pair-kernel call on its picks, with no
-    records, and ssc and smc trials evolve only Re(rho), all their gaps read.
-    So a trial equals run(rho0, ..., Schedule.random(seed=<that seed>),
-    horizon, validate=False) plus lyapunov_gap to rounding, with the same hit
-    count.  Raises InputError on a disconnected interaction graph.
+    built once per call and a trial keeps no records.  Gossip's gap is
+    quadratic in rho, so a gossip trial is one pair-kernel call on its picks.
+    The ssc and smc gaps are linear, 1 - Tr(P rho), and every ssc (smc) pair
+    Kraus operator shifts the excitation count by 0 (-1, 0 or +1), so the
+    entries a gap reads close on the C(2m, m) zero-coherence entries (the 2^m
+    populations): a trial gathers Re(rho) on them (qcore._gather_tables; the
+    superoperators are real), and its gap is 1 - w @ v.  A trial equals
+    run(rho0, ..., Schedule.random(seed=<that seed>), horizon, validate=False)
+    plus lyapunov_gap to rounding, with the same hit count.  Raises InputError
+    on a disconnected interaction graph.
     """
     if (gamma := _as_real(gamma, "gamma")) <= 0:
         raise InputError(f"need gamma > 0, got {gamma}")
@@ -341,16 +338,32 @@ def convergence_probability(
     m = topology.m
     rho0 = _as_state(rho0, m)
     validate_density_matrix(rho0)
-    gossip_target = gossip_fixed_point(rho0, m) if family.kind == "gossip" else None
-    steps = [(ch, ch.superop) for ch in build_channels(family, topology)]
-    # The superoperators are real and the ssc and smc gaps read only Re(rho).
-    start = rho0 if family.kind == "gossip" else rho0.real
+    channels = build_channels(family, topology)
+    if family.kind == "gossip":
+        gossip_target, steps = gossip_fixed_point(rho0, m), [(ch, ch.superop) for ch in channels]
+    else:
+        kept, tables, w = _gap_gather(family, channels, m)
     hits = 0
     for child in np.random.SeedSequence(seed).spawn(trials):
         picks = _random_picks(topology, int(child.generate_state(1)[0]), horizon)
-        rho = _apply_pairs(start, [steps[i] for i in picks])
-        hits += lyapunov_gap(family, rho, m, gossip_target=gossip_target) < gamma
+        if family.kind == "gossip":
+            gap = lyapunov_gap(family, _apply_pairs(rho0, [steps[i] for i in picks]), m, gossip_target=gossip_target)
+        else:
+            v = rho0.real.reshape(-1)[kept]
+            for i in picks:
+                idx, coef = tables[i]
+                v = np.add.reduce(coef * v[idx])
+            gap = 1.0 - w @ v
+        hits += gap < gamma
     return hits / trials
+
+
+def _gap_gather(family: ChannelFamily, channels, m: int):
+    """qcore._gather_tables on the entries the ssc or smc gap reads: (kept, tables, w), gap = 1 - w @ rho.flat[kept]."""
+    if family.kind == "smc":  # the P_smc corners, each of weight 1
+        return _gather_tables(channels, np.array([0, (1 << (2 * m)) - 1]), np.ones(2))
+    table = _readout(m, 1 << m)  # the Dicke-sector entries, of weight 1 / C(m, k)
+    return _gather_tables(channels, table.sectors, np.repeat(table.scale, np.diff(table.starts, append=len(table.sectors))))
 
 
 def measure_local_z(rho: np.ndarray, site: int, m: int, rng: np.random.Generator) -> tuple[int, np.ndarray]:

@@ -1,13 +1,16 @@
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
 
 from qconsensus import simulator
-from qconsensus.dynamics import ChannelFamily, build_channels
+from qconsensus.dynamics import ChannelFamily, build_channels, ssc_pair_channel
 from qconsensus.network import InputError, NetworkTopology
 from qconsensus.qcore import (
+    KrausChannel,
     _apply_pairs,
+    _gather_tables,
     apply_channel,
     bitstring_ket,
     check_trace,
@@ -29,7 +32,7 @@ from qconsensus.simulator import (
     trajectory_csv_lines,
     write_trajectory_csv,
 )
-from qconsensus.symmetry import dicke_ket, dicke_populations, excitation_counts, gossip_fixed_point, v_smc
+from qconsensus.symmetry import _readout, dicke_ket, dicke_populations, excitation_counts, gossip_fixed_point, v_smc
 
 PATH3 = NetworkTopology(m=3, neighborhoods=((1, 2), (2, 3)))
 
@@ -480,25 +483,83 @@ def _kernel_graphs(m):
     return {"path": path, "ring-chord": path + chord, "complete": tuple(combinations(range(1, m + 1), 2))}
 
 
-@pytest.mark.parametrize("graph", ["path", "ring-chord", "complete"])
+def _kernel_topology(m, graph):
+    """The named graph of _kernel_graphs, or for "weighted" the ring-chord graph with unequal selection weights."""
+    edges = _kernel_graphs(m)["ring-chord" if graph == "weighted" else graph]
+    if graph != "weighted":
+        return NetworkTopology(m=m, neighborhoods=edges)
+    weights = np.arange(1.0, len(edges) + 1)
+    return NetworkTopology(m=m, neighborhoods=edges, probabilities=tuple(weights / weights.sum()))
+
+
+def _gather_trial(v, tables, picks):
+    for i in picks:
+        idx, coef = tables[i]
+        v = np.add.reduce(coef * v[idx])
+    return v
+
+
+@pytest.mark.parametrize("graph", ["path", "ring-chord", "complete", "weighted"])
 @pytest.mark.parametrize("m", range(2, 7))
 @pytest.mark.parametrize(
     "family", [ChannelFamily.gossip(0.3), ChannelFamily.ssc(), ChannelFamily.smc()], ids=["gossip", "ssc", "smc"]
 )
 def test_pair_kernel_trial_matches_the_dense_run_replay(family, m, graph):
-    topology = NetworkTopology(m=m, neighborhoods=_kernel_graphs(m)[graph])
+    # A gossip trial evolves the whole state in the pair kernel; an ssc or smc
+    # trial gathers Re(rho) on the entries its gap reads, and reads the gap as 1 - w @ v.
+    topology = _kernel_topology(m, graph)
     rho0 = random_density(50 + m, 1 << m)
-    steps = [(ch, ch.superop) for ch in build_channels(family, topology)]
-    # A trial evolves the whole state for gossip and only its real part for ssc and smc.
-    start = rho0 if family.kind == "gossip" else rho0.real
+    channels = build_channels(family, topology)
+    if family.kind != "gossip":
+        kept, tables, w = simulator._gap_gather(family, channels, m)
     for child in np.random.SeedSequence(11).spawn(3):
         seed = int(child.generate_state(1)[0])
         picks = simulator._random_picks(topology, seed, 25)
-        out = _apply_pairs(start, [steps[i] for i in picks])
         final = run(rho0, topology, family, Schedule.random(seed=seed), 25, validate=False).final_state
-        expected = final if family.kind == "gossip" else final.real
-        assert out.dtype == expected.dtype
-        assert np.max(np.abs(out - expected)) <= 1e-12
+        if family.kind == "gossip":
+            out = _apply_pairs(rho0, [(channels[i], channels[i].superop) for i in picks])
+            assert out.dtype == final.dtype
+            assert np.max(np.abs(out - final)) <= 1e-12
+        else:
+            v = _gather_trial(rho0.real.reshape(-1)[kept], tables, picks)
+            assert np.max(np.abs(v - final.real.reshape(-1)[kept])) <= 1e-12
+            assert abs(1.0 - w @ v - lyapunov_gap(family, final, m)) <= 1e-12
+
+
+@pytest.mark.parametrize("graph", ["path", "ring-chord", "complete"])
+@pytest.mark.parametrize("m", range(2, 8))
+def test_trial_entry_sets_are_the_zero_coherence_blocks_and_the_populations(m, graph):
+    # ssc keeps the excitation count of a pair and smc shifts it by at most
+    # one, so the closures are {(r, c): |r| = |c|} and the diagonal.
+    topology = NetworkTopology(m=m, neighborhoods=_kernel_graphs(m)[graph])
+    d, counts = 1 << m, excitation_counts(m)
+    rows, cols = np.divmod(np.arange(d * d), d)
+    ssc = simulator._gap_gather(ChannelFamily.ssc(), build_channels(ChannelFamily.ssc(), topology), m)
+    smc = simulator._gap_gather(ChannelFamily.smc(), build_channels(ChannelFamily.smc(), topology), m)
+    assert np.array_equal(ssc[0], np.flatnonzero(counts[rows] == counts[cols])) and len(ssc[0]) == comb(2 * m, m)
+    assert np.array_equal(smc[0], np.flatnonzero(rows == cols)) and len(smc[0]) == d
+    assert {idx.shape for idx, _ in ssc[1]} == {(2, len(ssc[0]))}
+    assert {idx.shape for idx, _ in smc[1]} == {(3, d)}
+
+
+@pytest.mark.parametrize("m", range(4, 7))
+def test_a_channel_that_mixes_excitation_counts_grows_the_trial_entry_set(m):
+    # Conjugating the ssc Kraus set by H (x) H breaks excitation covariance:
+    # it sends the pair singlet to (|00> - |11>)/sqrt2, so the output entry
+    # (00 a, 11 b) reads singlet entries two excitations apart.  From m = 4
+    # on, with |a| = |b| + 2, that output is a zero-coherence entry, so the
+    # set grows past them; the gather on the grown set still matches the pair kernel.
+    hh = np.kron([[1, 1], [1, -1]], [[1, 1], [1, -1]]) / 2
+    kraus = [hh @ a @ hh for a in ssc_pair_channel().kraus_ops]
+    channels = [KrausChannel(kraus, sites=edge, m=m) for edge in _kernel_graphs(m)["ring-chord"]]
+    reads = _readout(m, 1 << m).sectors
+    kept, tables, _ = _gather_tables(channels, reads, np.ones(len(reads)))
+    assert len(kept) > comb(2 * m, m) and np.isin(reads, kept).all()
+    x = random_density(90 + m, 1 << m).real
+    picks = np.random.default_rng(m).integers(len(channels), size=25)
+    out = _apply_pairs(x, [(channels[i], channels[i].superop) for i in picks])
+    v = _gather_trial(x.reshape(-1)[kept], tables, picks)
+    assert np.max(np.abs(v - out.reshape(-1)[kept])) <= 1e-12
 
 
 def _hs_distance_sq(a, b):
