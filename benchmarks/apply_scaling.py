@@ -3,8 +3,9 @@
     python3 benchmarks/apply_scaling.py [--src DIR] [--sizes 4 6 8 10 12] [--run-m 12] [--out FILE]
 
 Imports `qconsensus` from `--src` (default: `src/` of this checkout), so the
-same script measures any checkout of the package that has the pair kernel
-(`qcore._pair_step` and `qcore._apply_pairs`), the reduced Monte-Carlo trial
+same script measures any checkout of the package that has the buffered pair
+kernel (`qcore._pair_step` and `qcore._apply_pairs`), the two-part anchor
+(`qcore._Anchor`), the reduced Monte-Carlo trial
 (`simulator._gap_gather` over `qcore._gather_tables`), the carried-layout
 record (`simulator._record` and `symmetry._readout`) and
 `dynamics.certify_family`.
@@ -15,7 +16,10 @@ For every m in `--sizes` and every family it times, on the pair
 * apply_s: one `apply_channel(..., validate=False)`;
 * validate_s: one `validate_density_matrix` of the output, the Cholesky
   "anchor" that a validated `run` makes on its input, at its last step and
-  whenever its positivity debt passes the budget;
+  whenever its positivity debt passes the budget; validate_prelude_s and
+  validate_factorize_s split it into its two parts (`qcore._Anchor`): the
+  O(d^2) prelude (Hermiticity and trace checks, the shifted copy and the
+  closed-form debt) and the O(d^3) Cholesky factorization;
 * purity_s: one `purity` of the output;
 * verify_s: one in-process `qconsensus verify --family <family> --m <m>`
   (the operator certificates of `dynamics.certify_family` on the m-site
@@ -38,8 +42,16 @@ For every m in `--sizes` and every family it times, on the pair
 * run_step_s: one anchor-free step of a validated `simulator.run` on the
   m-site path graph, for m <= 10 only: the pair-kernel step in the carried
   layout, the record and the trace check.  It is the difference of the
-  median times of a 1-step and a (1 + RUN_EXTRA_STEPS)-step cyclic run (both
-  anchor on their input and last state), divided by RUN_EXTRA_STEPS.
+  median times of a RUN_BASE_STEPS-step and a (RUN_BASE_STEPS +
+  RUN_EXTRA_STEPS)-step cyclic run, divided by RUN_EXTRA_STEPS.  Both anchor
+  on their input and last state, and from d = `simulator.OVERLAP_MIN_DIM` on
+  (with one BLAS thread and two usable cores, see `simulator.run`) both
+  runs are long enough for their steps to hide the input's
+  factorization, which runs on the calling thread while a worker steps; a
+  1-step run would hide less of it and under-count a step.
+* validated_run_s: one end-to-end validated `simulator.run` of
+  VALIDATED_RUN_STEPS cyclic steps on the m-site path graph, for m <= 10
+  only (at m = 9 the shape of the benchmark's traj_m9 op).
 
 Each per-m row also holds two family-independent times on the seeded state:
 
@@ -76,7 +88,8 @@ import numpy as np  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 FAMILIES = ("gossip", "ssc", "smc")
 CONVERGENCE_TRIALS, CONVERGENCE_HORIZON, CONVERGENCE_GAMMA = 20, 100, 0.05
-RUN_EXTRA_STEPS = 32
+RUN_BASE_STEPS, RUN_EXTRA_STEPS = 17, 32
+VALIDATED_RUN_STEPS = 8
 
 
 def repeats_for(m: int) -> int:
@@ -149,7 +162,7 @@ def run_step_time(family, topology, rho: np.ndarray, repeats: int) -> float:
 
     times = [
         median_time(lambda: run(rho, topology, family, Schedule.cyclic(), steps, validate=True), repeats)
-        for steps in (1, 1 + RUN_EXTRA_STEPS)
+        for steps in (RUN_BASE_STEPS, RUN_BASE_STEPS + RUN_EXTRA_STEPS)
     ]
     return (times[1] - times[0]) / RUN_EXTRA_STEPS
 
@@ -161,7 +174,8 @@ def record_fn(m: int, rho: np.ndarray):
     from qconsensus.symmetry import _readout
 
     channel = neighborhood_channel(ChannelFamily.ssc(), (m // 2, m // 2 + 1), m)
-    flat = simulator._pair_step(rho.reshape((2,) * (2 * m)), None, channel, channel.superop)[0].reshape(-1)
+    buffers = np.empty_like(rho), np.empty_like(rho)
+    flat = simulator._pair_step(rho.reshape((2,) * (2 * m)), None, channel, channel.superop, *buffers)[0].reshape(-1)
     table = _readout(m, 1 << (m - 2))
     return lambda: simulator._record(1, flat, flat[table.diag], table, None)
 
@@ -170,8 +184,8 @@ def layer_times(m: int) -> dict:
     """Median per-family layer times at size m, plus record and fixed-point times."""
     from qconsensus.dynamics import ChannelFamily, neighborhood_channel
     from qconsensus.network import NetworkTopology
-    from qconsensus.qcore import apply_channel, purity, validate_density_matrix
-    from qconsensus.simulator import convergence_probability, random_density
+    from qconsensus.qcore import _Anchor, apply_channel, purity, validate_density_matrix
+    from qconsensus.simulator import Schedule, convergence_probability, random_density, run
     from qconsensus.symmetry import gossip_fixed_point
 
     pair = (m // 2, m // 2 + 1)
@@ -187,6 +201,8 @@ def layer_times(m: int) -> dict:
             "build_s": median_time(lambda: neighborhood_channel(family, pair, m), repeats),
             "apply_s": median_time(lambda: apply_channel(channel, rho, validate=False), repeats),
             "validate_s": median_time(lambda: validate_density_matrix(after), repeats),
+            "validate_prelude_s": median_time(lambda: _Anchor(after), repeats),
+            "validate_factorize_s": median_time(_Anchor(after).cholesky, repeats),
             "purity_s": median_time(lambda: purity(after), repeats),
             "repeats": repeats,
         }
@@ -194,6 +210,8 @@ def layer_times(m: int) -> dict:
             out[kind]["verify_s"] = median_time(verify_fn(kind, m), repeats)
         if m <= 10:
             out[kind]["run_step_s"] = run_step_time(family, path, rho, repeats)
+            validated = (rho, path, family, Schedule.cyclic(), VALIDATED_RUN_STEPS)
+            out[kind]["validated_run_s"] = median_time(lambda: run(*validated), repeats)
         if m <= 8:
             args = (rho, path, family, CONVERGENCE_GAMMA, CONVERGENCE_HORIZON, CONVERGENCE_TRIALS, 0)
             out[kind]["convergence_s"] = median_time(lambda: convergence_probability(*args), min(repeats, 5))

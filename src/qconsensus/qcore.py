@@ -129,35 +129,67 @@ def validate_density_matrix(rho: np.ndarray) -> float:
     has (reject below -PSD_ATOL), and the debt is the negative eigenvalue
     mass plus the same error terms (the symmetric eigensolver is backward
     stable, with an error of the same order).
+
+    The work is in two parts (_Anchor): an O(d^2) prelude (the Hermiticity
+    and trace checks, the shifted copy H + cI and the closed-form debt that
+    a successful Cholesky returns) and the O(d^3) factorization.  A validated
+    `run` on a large state uses the debt of the first while the second is
+    still running.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-    skew = rho - rho.conj().T
-    skew_norm = np.sqrt(np.vdot(skew, skew).real)
-    # The max-abs residual is at most the Frobenius norm, so the entrywise
-    # scan runs only when the norm alone cannot pass the state.  Each check
-    # is written to pass only a number within tolerance, so NaN fails.
-    if not skew_norm <= HERMITICITY_ATOL and not (herm := float(np.max(np.abs(skew)))) <= HERMITICITY_ATOL:
-        raise ValueError(f"not Hermitian: residual {herm:.3e} > {HERMITICITY_ATOL:.1e}")
-    check_trace(rho)
-    d = len(rho)
-    shift = PSD_ATOL / (4 * d)
-    floor = np.sqrt(d) * (_gamma(d + 2) * (1 + d * shift) + 0.5 * skew_norm)
-    # The one shifted copy: H + cI = rho - skew/2 + cI, formed in place.
-    # LAPACK reads only its lower triangle.
-    shifted = skew
-    shifted *= -0.5
-    shifted += rho
-    shifted.flat[:: d + 1] += shift
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        eigs = np.linalg.eigvalsh(shifted) - shift
+    anchor = _Anchor(rho)
+    return anchor.debt if anchor.cholesky() else anchor.eigvalsh_debt()
+
+
+class _Anchor:
+    """validate_density_matrix in two parts, for a caller that needs the debt before the factorization ends.
+
+    Construction is the O(d^2) prelude: it raises on a Hermiticity or trace
+    violation, forms the shifted copy H + cI (`shifted`, LAPACK reads only
+    its lower triangle) and sets `debt`, the bound a successful Cholesky
+    factorization of it certifies.  cholesky() runs that O(d^3)
+    factorization and says whether it succeeded; if it did not,
+    eigvalsh_debt() decides, raising when rho is not positive semidefinite
+    and otherwise returning the debt that replaces `debt`.
+    """
+
+    def __init__(self, rho: np.ndarray):
+        rho = np.asarray(rho, dtype=complex)
+        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+            raise ValueError(f"density matrix must be square, got shape {rho.shape}")
+        # rho - rho^H in one C-ordered buffer, conj(rho.T) written into it and
+        # then subtracted from rho in place: one state-sized temporary fewer
+        # than rho - rho.conj().T, and the same bits.
+        skew = np.conjugate(rho.T, out=np.empty(rho.shape, complex))
+        np.subtract(rho, skew, out=skew)
+        skew_norm = np.sqrt(np.vdot(skew, skew).real)
+        # The max-abs residual is at most the Frobenius norm, so the entrywise
+        # scan runs only when the norm alone cannot pass the state.  Each check
+        # is written to pass only a number within tolerance, so NaN fails.
+        if not skew_norm <= HERMITICITY_ATOL and not (herm := float(np.max(np.abs(skew)))) <= HERMITICITY_ATOL:
+            raise ValueError(f"not Hermitian: residual {herm:.3e} > {HERMITICITY_ATOL:.1e}")
+        check_trace(rho)
+        d = len(rho)
+        self.shift = PSD_ATOL / (4 * d)
+        self.floor = np.sqrt(d) * (_gamma(d + 2) * (1 + d * self.shift) + 0.5 * skew_norm)
+        self.debt = float(d * self.shift + self.floor)
+        # The one shifted copy: H + cI = rho - skew/2 + cI, formed in place.
+        skew *= -0.5
+        skew += rho
+        skew.flat[:: d + 1] += self.shift
+        self.shifted = skew
+
+    def cholesky(self) -> bool:
+        try:
+            np.linalg.cholesky(self.shifted)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    def eigvalsh_debt(self) -> float:
+        eigs = np.linalg.eigvalsh(self.shifted) - self.shift
         if not eigs[0] >= -PSD_ATOL:
-            raise ValueError(f"not positive semidefinite: min eigenvalue {eigs[0]:.3e}") from None
-        return float(floor - eigs[eigs < 0].sum())
-    return float(d * shift + floor)
+            raise ValueError(f"not positive semidefinite: min eigenvalue {eigs[0]:.3e}")
+        return float(self.floor - eigs[eigs < 0].sum())
 
 
 def partial_trace(rho: np.ndarray, m: int, keep) -> np.ndarray:
@@ -294,19 +326,30 @@ def check_cptp(channel_or_ops) -> CPTPReport:
     return CPTPReport(completeness_residual=completeness_residual(ops), is_unital=unital)
 
 
-def _pair_step(t: np.ndarray, layout, channel: KrausChannel, superop: np.ndarray):
-    """The pair kernel: one transposed copy and one matmul of superop on the (2,)*2m tensor t.
+def _pair_step(t: np.ndarray, layout, channel: KrausChannel, superop: np.ndarray, front: np.ndarray, out: np.ndarray):
+    """The pair kernel: one transposed copy and one matmul of superop on the (2,)*2m tensor t, into the caller's buffers.
 
-    Axis layout[a] of t holds canonical axis a (None: canonical order).  t is
-    complex, or float64 when superop is real (which then multiplies the float64
-    view of a complex t).  Returns the image in channel.perm order and that
-    layout, channel.inverse_perm.
+    Axis layout[a] of t holds canonical axis a (None: canonical order).  front
+    and out are C-contiguous arrays of t's size and dtype that the caller
+    owns: the transposed copy goes into front and the product into out, which
+    may hold t itself, so a step allocates no state-sized array.  t is
+    complex, or float64 when superop is real (which then multiplies the
+    float64 view of a complex t).  Returns out, the image in channel.perm
+    order, and that layout, channel.inverse_perm.
     """
     axes = channel.perm if layout is None else [layout[a] for a in channel.perm]
-    front = np.ascontiguousarray(t.transpose(axes)).reshape(len(superop), -1)
-    float_view = superop.dtype != complex and front.dtype == complex
-    out = (superop @ front.view(np.float64)).view(complex) if float_view else superop @ front
+    np.copyto(front.reshape(t.shape), t.transpose(axes))
+    lhs, product = front.reshape(len(superop), -1), out.reshape(len(superop), -1)
+    if superop.dtype != complex and front.dtype == complex:
+        lhs, product = lhs.view(np.float64), product.view(np.float64)
+    np.matmul(superop, lhs, out=product)
     return out.reshape(t.shape), channel.inverse_perm
+
+
+def _canonical(t: np.ndarray, layout, into: np.ndarray) -> np.ndarray:
+    """Copy the tensor t, whose axis layout[a] holds canonical axis a, into the C-contiguous `into` in canonical order; returns `into`."""
+    np.copyto(into.reshape(t.shape), t.transpose(layout))
+    return into
 
 
 def _gather_tables(channels, reads: np.ndarray, weights: np.ndarray):
@@ -338,11 +381,12 @@ def _gather_tables(channels, reads: np.ndarray, weights: np.ndarray):
 
 
 def _apply_pairs(x: np.ndarray, steps) -> np.ndarray:
-    """Apply (channel, superop) steps to x with _pair_step, restoring canonical order once, at the end."""
+    """Apply (channel, superop) steps to x with _pair_step in two buffers, restoring canonical order once, at the end, into one of them."""
     t, layout = x.reshape((2,) * (x.size.bit_length() - 1)), None
+    front, out = np.empty(x.shape, x.dtype), np.empty(x.shape, x.dtype)
     for channel, superop in steps:
-        t, layout = _pair_step(t, layout, channel, superop)
-    return x if layout is None else t.transpose(layout).reshape(x.shape)
+        t, layout = _pair_step(t, layout, channel, superop, front, out)
+    return x if layout is None else _canonical(t, layout, front)
 
 
 def apply_channel(channel: KrausChannel, rho: np.ndarray, *, validate: bool = True) -> np.ndarray:

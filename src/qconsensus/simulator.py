@@ -11,14 +11,17 @@ seed, so results are reproducible and independent of trial execution order.
 from __future__ import annotations
 
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .dynamics import ChannelFamily, build_channels
 from .network import InputError, NetworkTopology, _as_count, _as_index, _as_nonnegative, _as_real, _as_site, _as_state, is_connected
-from .qcore import PSD_ATOL, _apply_pairs, _gather_tables, _pair_step, apply_error_bound, check_trace, purity, validate_density_matrix
+from .qcore import PSD_ATOL, _Anchor, _apply_pairs, _canonical, _gather_tables, _pair_step, apply_error_bound, check_trace, purity, validate_density_matrix
 from .symmetry import (
     _readout,
     _sector_sums,
@@ -53,6 +56,12 @@ EARLY_STOP_THRESHOLD = 1e-10
 # A validated run factorizes its state again once the certified positivity
 # debt would pass this bound (see run).
 PSD_DEBT_BUDGET = PSD_ATOL / 2
+# Validated runs on at least this many dimensions factorize their input while
+# a worker thread makes the steps, if the worker has a core of its own (see
+# run and _spare_core).  Measured on two cores with one BLAS thread, an 8-step
+# run loses about 0.8 ms to the thread handoff at m = 7 and gains about 1 ms
+# at m = 8 (13 ms at m = 9).
+OVERLAP_MIN_DIM = 256
 
 
 @dataclass(frozen=True)
@@ -219,10 +228,12 @@ def run(
 
     The state stays in the pair kernel's carried layout (qcore._pair_step), a
     site relabeling of rho with the last step's pair first, so a step is one
-    transposed copy and one matmul.  Trace, S, purity, P_smc and the Dicke
-    populations are invariant under site relabeling, so the record and the
-    trace check read it as it is, and the early-stop gap reads the record;
-    canonical order comes back only on a copy for each anchor and at the end.
+    transposed copy and one matmul, into two state buffers the run allocates
+    once.  Trace, S, purity, P_smc and the Dicke populations are invariant
+    under site relabeling, so the record and the trace check read it as it
+    is, and the early-stop gap reads the record; canonical order comes back
+    only on a copy for each anchor, and the last anchored copy is the final
+    state.
 
     Validation does not factorize every state.  It checks the trace each
     step, and carries a certified positivity debt: a bound, in trace norm, on
@@ -244,6 +255,30 @@ def run(
     last step.  A failure inside the run names the family, the step, its
     edge, and the steps since the last passing anchor.
 
+    The steps never read the input's factorization, only its debt, which a
+    Cholesky that succeeds fixes in closed form beforehand (qcore._Anchor).
+    So a validated run on at least OVERLAP_MIN_DIM dimensions starts the step
+    loop (pair steps, records, trace checks) on one worker thread once the
+    input passes the O(d^2) Hermiticity and trace checks, and factorizes the
+    input on the calling thread meanwhile, provided BLAS runs one thread per
+    call and the process may use two cores (_spare_core).  Other runs run
+    the same loop inline: on smaller states the thread handoff costs more
+    than the overlap saves, and without a spare core the worker's matmul and
+    the caller's Cholesky share one (measured at m = 9: 7% slower with one
+    usable core, 12% slower with two BLAS threads on two cores).
+    The worker runs up to the first state due for an anchor (the last or
+    early-stop step, or one past the budget) and stops there; the calling
+    thread makes every canonical copy and every factorization, and finishes
+    the loop.  The worker allocates no state-sized array: glibc gives each
+    thread its own malloc arena, and state-sized blocks freed in the
+    worker's arena would stay resident where the caller cannot reuse them.
+    Errors keep their order: the input's own error comes first (a worker
+    fault is raised only when the input passes), then the disconnected-graph
+    warning, then the errors of the loop.  If the input's Cholesky fails, the
+    worker stops at its next step, and eigvalsh either raises the input's
+    error or gives the debt with which the loop reruns inline.  No thread
+    outlives the call.
+
     Returns
     -------
     RunResult with one TrajectoryRecord per executed step (psd_debt holds the
@@ -254,40 +289,89 @@ def run(
         raise InputError(f"need steps >= 1, got {steps}")
     m = topology.m
     rho = _as_state(rho0, m)
-    debt = validate_density_matrix(rho) if validate else None
+    if validate and len(rho) >= OVERLAP_MIN_DIM and _spare_core():
+        anchor, debt = _Anchor(rho), None  # the prelude: Hermiticity and trace errors come first
+    else:
+        anchor, debt = None, validate_density_matrix(rho) if validate else None
+    gap = None
+    if early_stop:  # the gap is the record field minus its limit (see lyapunov_gap)
+        gap = ("v_total", m) if family.kind == "ssc" else ("v_smc", 0.0) if family.kind == "smc" else (
+            "purity", purity(gossip_fixed_point(rho, m)))
+    # The readout table is cached and the buffers are state-sized: both are
+    # made on this thread, in its malloc arena, not on a worker's.
+    table, buffers = _readout(m, 1 << (m - 2)), (np.empty(rho.shape, complex), np.empty(rho.shape, complex))
+    loop = partial(_steps, rho, topology, family, schedule, steps, gap, table, buffers)
+    if anchor is None:
+        steps_loop = loop(debt)
+        first = steps_loop.__next__
+    else:
+        steps_loop, first = _overlapped(loop, anchor)
+        del anchor  # its shifted copy is not needed at the last anchor
     if not is_connected(topology):
         warnings.warn("interaction graph is not connected; convergence is not guaranteed")
-    channels = build_channels(family, topology)
+    records, final_state = _drive(steps_loop, first, buffers[0])
+    return RunResult(records=records, final_state=final_state)
 
+
+def _usable_cpus():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _blas_threads(environ, cpus):
+    """The threads numpy's OpenBLAS runs per call: the first positive OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS, else every usable core."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = environ.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return min(int(value), cpus)
+    return cpus
+
+
+# OpenBLAS reads its thread count when numpy loads, which is before this line.
+_BLAS_THREADS = _blas_threads(os.environ, _usable_cpus())
+
+
+def _spare_core():
+    """Whether a worker thread's matmul gets a core beside the caller's Cholesky: one BLAS thread per call, two usable cores or more."""
+    return _BLAS_THREADS == 1 and _usable_cpus() >= 2
+
+
+def _steps(rho, topology, family, schedule, steps, gap, table, buffers, debt, halt=None):
+    """run's step loop, as a generator: it yields (x, layout) where an anchor is due and takes back the anchored debt.
+
+    gap is the early-stop (record field, limit) or None, table the carried
+    layout's symmetry._readout, and debt None for a run without validation.
+    Returns (records, x, layout), or None when `halt` is set at the start of
+    a step.  An exception thrown in at an anchor is raised with the run's
+    step, edge and anchor context.
+    """
+    m = topology.m
+    channels = build_channels(family, topology)
     if schedule.mode == "cyclic":
         order = _cyclic_order(schedule, len(channels))
         picks = [order[t % len(order)] for t in range(steps)]
     else:
         picks = _random_picks(topology, schedule.seed, steps)
-
-    d, table = 1 << m, _readout(m, 1 << (m - 2))
-    if early_stop:  # the gap is the record field minus its limit (see lyapunov_gap)
-        field, limit = ("v_total", m) if family.kind == "ssc" else ("v_smc", 0.0) if family.kind == "smc" else (
-            "purity", purity(gossip_fixed_point(rho, m)))
-    if validate:
+    if debt is not None:
         step_bounds = [apply_error_bound(ch) for ch in channels]
         norm_f = math.sqrt(purity(rho))
     records: list[TrajectoryRecord] = []
     x, layout = rho.reshape((2,) * (2 * m)), None
     quiet = anchored = 0
     for t, idx in enumerate(picks, 1):
-        x, layout = _pair_step(x, layout, channels[idx], channels[idx].superop)
+        if halt is not None and halt.is_set():
+            return None
+        x, layout = _pair_step(x, layout, channels[idx], channels[idx].superop, *buffers)
         flat = x.reshape(-1)
         diag = flat[table.diag]
         rec = _record(t, flat, diag, table, None if debt is None else debt + step_bounds[idx] * norm_f)
-        if early_stop:
-            quiet = quiet + 1 if getattr(rec, field) - limit < EARLY_STOP_THRESHOLD else 0
+        if gap is not None:
+            quiet = quiet + 1 if getattr(rec, gap[0]) - gap[1] < EARLY_STOP_THRESHOLD else 0
         stop = quiet >= 2 * m
-        if validate:
+        if debt is not None:
             try:
                 check_trace(diag)
                 if rec.psd_debt > PSD_DEBT_BUDGET or stop or t == steps:
-                    rec = replace(rec, psd_debt=validate_density_matrix(x.transpose(layout).reshape(d, d)))
+                    rec = replace(rec, psd_debt=(yield x, layout))
                     anchored = t
             except ValueError as exc:
                 raise ValueError(
@@ -298,7 +382,71 @@ def run(
         records.append(rec)
         if stop:
             break
-    return RunResult(records=records, final_state=x.transpose(layout).reshape(d, d))
+    return records, x, layout
+
+
+def _drive(loop, first, scratch):
+    """Run the step loop to its end on this thread, from first() (its next anchor request).
+
+    Each requested anchor is validate_density_matrix of a canonical copy made
+    into `scratch`, the loop's transposed-copy buffer, which the next step
+    overwrites.  Returns the records and the final state: the last anchored
+    copy, or for a run without validation a canonical copy of the last state.
+    """
+    canonical = None
+    try:
+        request = first()
+        while True:
+            canonical = _canonical(*request, scratch)
+            try:
+                debt = validate_density_matrix(canonical)
+            except ValueError as exc:
+                request = loop.throw(exc)
+            else:
+                request = loop.send(debt)
+    except StopIteration as done:
+        records, x, layout = done.value
+    return records, _canonical(x, layout, scratch) if canonical is None else canonical
+
+
+def _overlapped(loop, anchor):
+    """Start loop(anchor.debt) on a worker thread up to its first anchor request while this thread runs anchor.cholesky().
+
+    Returns the loop and a callable that gives the worker's first request or
+    raises what the worker raised.  When the factorization fails, the worker
+    is stopped at its next step and joined, and eigvalsh either raises the
+    input's error or gives the debt of a fresh loop, which stays inline.
+    """
+    halt, outcome = threading.Event(), []
+    steps_loop = loop(anchor.debt, halt)
+
+    def work():
+        try:
+            outcome.append(next(steps_loop))
+        except BaseException as exc:  # StopIteration included; re-raised on the caller's thread
+            outcome.append(exc)
+
+    worker = threading.Thread(target=work, name="qconsensus-run-steps")
+    worker.start()
+    try:
+        factorized = anchor.cholesky()
+        if not factorized:
+            halt.set()
+        worker.join()
+    except BaseException:  # a raising factorization, or an interrupt in it or in the join
+        halt.set()
+        worker.join()
+        raise
+    if not factorized:
+        steps_loop = loop(anchor.eigvalsh_debt())
+        return steps_loop, steps_loop.__next__
+
+    def first():
+        if isinstance(outcome[0], BaseException):
+            raise outcome[0]
+        return outcome[0]
+
+    return steps_loop, first
 
 
 def convergence_probability(

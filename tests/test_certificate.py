@@ -56,9 +56,10 @@ def steps_and_records(monkeypatch, *args, **kwargs):
     """run(*args) plus (channel, state after the step) for every step it makes."""
     steps = []
 
-    def recording_step(x, layout, channel, superop):
-        out, out_layout = _pair_step(x, layout, channel, superop)
-        steps.append((channel, out.transpose(out_layout).reshape(channel.dim, channel.dim)))
+    def recording_step(x, layout, channel, superop, *buffers):
+        out, out_layout = _pair_step(x, layout, channel, superop, *buffers)
+        # A copy: the kernel writes every step into the same buffer.
+        steps.append((channel, np.array(out.transpose(out_layout).reshape(channel.dim, channel.dim))))
         return out, out_layout
 
     monkeypatch.setattr(simulator, "_pair_step", recording_step)
@@ -177,8 +178,8 @@ def test_kernel_fault_fails_within_the_same_run(monkeypatch, kind, order, edge):
 
 
 def test_trace_fault_is_caught_at_its_step_with_context(monkeypatch):
-    def leaky_step(x, layout, channel, superop):
-        out, out_layout = _pair_step(x, layout, channel, superop)
+    def leaky_step(x, layout, channel, superop, *buffers):
+        out, out_layout = _pair_step(x, layout, channel, superop, *buffers)
         return (out * (1 + 2e-9) if channel.sites == (2, 3) else out), out_layout
 
     monkeypatch.setattr(simulator, "_pair_step", leaky_step)
