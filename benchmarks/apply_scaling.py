@@ -7,8 +7,7 @@ same script measures any checkout of the package that has the buffered pair
 kernel (`qcore._pair_step` and `qcore._apply_pairs`), the two-part anchor
 (`qcore._Anchor`), the reduced Monte-Carlo trial
 (`simulator._gap_gather` over `qcore._gather_tables`), the carried-layout
-record (`simulator._record` and `symmetry._readout`) and
-`dynamics.certify_family`.
+state object (`simulator._Dense`) and `dynamics.certify_family`.
 For every m in `--sizes` and every family it times, on the pair
 (m//2, m//2 + 1) and a seeded dense state:
 
@@ -55,9 +54,9 @@ For every m in `--sizes` and every family it times, on the pair
 
 Each per-m row also holds two family-independent times on the seeded state:
 
-* record_s: what every trajectory step records, `simulator._record` on the
-  carried layout (the diagonal take, the Dicke sector sums, purity, S and the
-  P_smc corners);
+* record_s: what every trajectory step records, `simulator._Dense.record`
+  on a state stepped once, so in the carried layout (the diagonal take, the
+  Dicke sector sums, purity, S and the P_smc corners; no trace check);
 * fixed_point_s: one `symmetry.gossip_fixed_point`, for m <= 8 only.
 
 Each is the median of several repeats.  With `--run-m M` it also runs
@@ -169,15 +168,12 @@ def run_step_time(family, topology, rho: np.ndarray, repeats: int) -> float:
 
 def record_fn(m: int, rho: np.ndarray):
     """The per-step record of a run on rho's image under one pair step."""
-    from qconsensus import simulator
     from qconsensus.dynamics import ChannelFamily, neighborhood_channel
-    from qconsensus.symmetry import _readout
+    from qconsensus.simulator import _Dense
 
-    channel = neighborhood_channel(ChannelFamily.ssc(), (m // 2, m // 2 + 1), m)
-    buffers = np.empty_like(rho), np.empty_like(rho)
-    flat = simulator._pair_step(rho.reshape((2,) * (2 * m)), None, channel, channel.superop, *buffers)[0].reshape(-1)
-    table = _readout(m, 1 << (m - 2))
-    return lambda: simulator._record(1, flat, flat[table.diag], table, None)
+    state = _Dense(rho, m)
+    state.step(neighborhood_channel(ChannelFamily.ssc(), (m // 2, m // 2 + 1), m))
+    return lambda: state.record(1, None)
 
 
 def layer_times(m: int) -> dict:

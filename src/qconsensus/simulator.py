@@ -15,7 +15,6 @@ import os
 import threading
 import warnings
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -163,21 +162,17 @@ def _random_picks(topology: NetworkTopology, seed: int, steps: int) -> np.ndarra
     return np.random.default_rng(seed).choice(n, size=steps, p=q)
 
 
-def _cyclic_order(schedule: Schedule, n_neighborhoods: int) -> tuple[int, ...]:
-    order = schedule.order if schedule.order is not None else tuple(range(n_neighborhoods))
-    if any(i < 0 or i >= n_neighborhoods for i in order):
-        raise InputError(f"cyclic order {order} has indices outside 0..{n_neighborhoods - 1}")
-    if set(order) != set(range(n_neighborhoods)):
+def _picks(schedule: Schedule, topology: NetworkTopology, steps: int):
+    """The neighborhood index of each of `steps` steps: the cyclic order repeated, or the random draws."""
+    if schedule.mode == "random":
+        return _random_picks(topology, schedule.seed, steps)
+    n = len(topology.neighborhoods)
+    order = schedule.order if schedule.order is not None else tuple(range(n))
+    if any(i < 0 or i >= n for i in order):
+        raise InputError(f"cyclic order {order} has indices outside 0..{n - 1}")
+    if set(order) != set(range(n)):
         raise InputError("cyclic order must cover every neighborhood at least once")
-    return order
-
-
-def _record(step: int, flat: np.ndarray, diag: np.ndarray, table, psd_debt: float | None) -> TrajectoryRecord:
-    """The diagnostics of a flat state in the layout `table` reads (symmetry._readout); diag = flat[table.diag]."""
-    pops = tuple(_sector_sums(flat, table).tolist())
-    smc_pop = float(flat[0].real + flat[-1].real)  # |0..0> and |1..1> keep their places in every layout
-    s_exp = float(np.dot(table.s_weights, diag.real))
-    return TrajectoryRecord(step, purity(flat), s_exp, len(pops) - sum(pops), 1.0 - smc_pop, pops, smc_pop, psd_debt)
+    return [order[t % len(order)] for t in range(steps)]
 
 
 def lyapunov_gap(family: ChannelFamily, rho: np.ndarray, m: int, *, gossip_target: np.ndarray | None = None) -> float:
@@ -225,15 +220,6 @@ def run(
     early_stop : stop once the family's Lyapunov gap (lyapunov_gap: a
         record field minus its limit) stays below EARLY_STOP_THRESHOLD for
         2*m consecutive steps
-
-    The state stays in the pair kernel's carried layout (qcore._pair_step), a
-    site relabeling of rho with the last step's pair first, so a step is one
-    transposed copy and one matmul, into two state buffers the run allocates
-    once.  Trace, S, purity, P_smc and the Dicke populations are invariant
-    under site relabeling, so the record and the trace check read it as it
-    is, and the early-stop gap reads the record; canonical order comes back
-    only on a copy for each anchor, and the last anchored copy is the final
-    state.
 
     Validation does not factorize every state.  It checks the trace each
     step, and carries a certified positivity debt: a bound, in trace norm, on
@@ -289,27 +275,22 @@ def run(
         raise InputError(f"need steps >= 1, got {steps}")
     m = topology.m
     rho = _as_state(rho0, m)
-    if validate and len(rho) >= OVERLAP_MIN_DIM and _spare_core():
-        anchor, debt = _Anchor(rho), None  # the prelude: Hermiticity and trace errors come first
-    else:
-        anchor, debt = None, validate_density_matrix(rho) if validate else None
     gap = None
     if early_stop:  # the gap is the record field minus its limit (see lyapunov_gap)
         gap = ("v_total", m) if family.kind == "ssc" else ("v_smc", 0.0) if family.kind == "smc" else (
             "purity", purity(gossip_fixed_point(rho, m)))
-    # The readout table is cached and the buffers are state-sized: both are
-    # made on this thread, in its malloc arena, not on a worker's.
-    table, buffers = _readout(m, 1 << (m - 2)), (np.empty(rho.shape, complex), np.empty(rho.shape, complex))
-    loop = partial(_steps, rho, topology, family, schedule, steps, gap, table, buffers)
-    if anchor is None:
-        steps_loop = loop(debt)
-        first = steps_loop.__next__
+
+    def loop(debt, halt=None):  # a fresh state per loop, so a rerun starts from rho
+        return _steps(_Dense(rho, m), topology, family, schedule, steps, gap, debt, halt)
+
+    if validate and len(rho) >= OVERLAP_MIN_DIM and _spare_core():
+        steps_loop, first = _overlapped(loop, _Anchor(rho))  # the prelude: Hermiticity and trace errors come first
     else:
-        steps_loop, first = _overlapped(loop, anchor)
-        del anchor  # its shifted copy is not needed at the last anchor
+        steps_loop = loop(validate_density_matrix(rho) if validate else None)
+        first = steps_loop.__next__
     if not is_connected(topology):
         warnings.warn("interaction graph is not connected; convergence is not guaranteed")
-    records, final_state = _drive(steps_loop, first, buffers[0])
+    records, final_state = _drive(steps_loop, first)
     return RunResult(records=records, final_state=final_state)
 
 
@@ -335,78 +316,101 @@ def _spare_core():
     return _BLAS_THREADS == 1 and _usable_cpus() >= 2
 
 
-def _steps(rho, topology, family, schedule, steps, gap, table, buffers, debt, halt=None):
-    """run's step loop, as a generator: it yields (x, layout) where an anchor is due and takes back the anchored debt.
+class _Dense:
+    """run's state: rho as a (2,)*2m tensor in the pair kernel's carried layout (qcore._pair_step).
 
-    gap is the early-stop (record field, limit) or None, table the carried
-    layout's symmetry._readout, and debt None for a run without validation.
-    Returns (records, x, layout), or None when `halt` is set at the start of
-    a step.  An exception thrown in at an anchor is raised with the run's
-    step, edge and anchor context.
+    The layout is a site relabeling of rho with the last step's pair first,
+    so a step is one transposed copy and one matmul, into two state buffers
+    the object allocates, on the thread that builds it.  Trace, S, purity,
+    P_smc and the Dicke populations are invariant under site relabeling, so
+    the record (through the layout's symmetry._readout table) and the trace
+    check read the state as it is, and the early-stop gap reads the record.
+    Canonical order comes back only on a copy for each anchor, made into the
+    transposed-copy buffer, which the next step overwrites; the last
+    anchored copy is the final state.
     """
-    m = topology.m
+
+    def __init__(self, rho: np.ndarray, m: int):
+        self.x, self.layout, self.copy, self.table = rho.reshape((2,) * (2 * m)), None, None, _readout(m, 1 << (m - 2))
+        self.front, self.out = np.empty(rho.shape, complex), np.empty(rho.shape, complex)
+
+    def step(self, channel):
+        self.x, self.layout = _pair_step(self.x, self.layout, channel, channel.superop, self.front, self.out)
+        self.copy = None
+
+    def record(self, t: int, debt: float | None) -> TrajectoryRecord:
+        """The diagnostics after step t, with psd_debt = debt; the trace is checked when debt is set."""
+        flat = self.x.reshape(-1)
+        diag = flat[self.table.diag]
+        if debt is not None:
+            check_trace(diag)
+        pops = tuple(_sector_sums(flat, self.table).tolist())
+        smc_pop = float(flat[0].real + flat[-1].real)  # |0..0> and |1..1> keep their places in every layout
+        s_exp = float(np.dot(self.table.s_weights, diag.real))
+        return TrajectoryRecord(t, purity(flat), s_exp, len(pops) - sum(pops), 1.0 - smc_pop, pops, smc_pop, debt)
+
+    def anchor(self) -> float:
+        """validate_density_matrix of a canonical copy of the state: its debt, or ValueError."""
+        self.copy = _canonical(self.x, self.layout, self.front)
+        return validate_density_matrix(self.copy)
+
+    def final(self) -> np.ndarray:
+        """The state in canonical order: the last anchored copy when no step followed it."""
+        return self.copy if self.copy is not None else _canonical(self.x, self.layout, self.front)
+
+
+def _steps(dense, topology, family, schedule, steps, gap, debt, halt=None):
+    """run's step loop on a fresh _Dense, as a generator: it yields the state where an anchor is due and takes back the anchored debt.
+
+    gap is the early-stop (record field, limit) or None, and debt None for a
+    run without validation.  Returns (records, final state), or None when
+    `halt` is set at the start of a step.  An exception thrown in at an
+    anchor is raised with the run's step, edge and anchor context.
+    """
     channels = build_channels(family, topology)
-    if schedule.mode == "cyclic":
-        order = _cyclic_order(schedule, len(channels))
-        picks = [order[t % len(order)] for t in range(steps)]
-    else:
-        picks = _random_picks(topology, schedule.seed, steps)
+    picks = _picks(schedule, topology, steps)
     if debt is not None:
         step_bounds = [apply_error_bound(ch) for ch in channels]
-        norm_f = math.sqrt(purity(rho))
+        norm_f = math.sqrt(purity(dense.x))
     records: list[TrajectoryRecord] = []
-    x, layout = rho.reshape((2,) * (2 * m)), None
     quiet = anchored = 0
     for t, idx in enumerate(picks, 1):
         if halt is not None and halt.is_set():
             return None
-        x, layout = _pair_step(x, layout, channels[idx], channels[idx].superop, *buffers)
-        flat = x.reshape(-1)
-        diag = flat[table.diag]
-        rec = _record(t, flat, diag, table, None if debt is None else debt + step_bounds[idx] * norm_f)
-        if gap is not None:
-            quiet = quiet + 1 if getattr(rec, gap[0]) - gap[1] < EARLY_STOP_THRESHOLD else 0
-        stop = quiet >= 2 * m
-        if debt is not None:
-            try:
-                check_trace(diag)
-                if rec.psd_debt > PSD_DEBT_BUDGET or stop or t == steps:
-                    rec = replace(rec, psd_debt=(yield x, layout))
-                    anchored = t
-            except ValueError as exc:
-                raise ValueError(
-                    f"{family.kind} run, step {t} on edge {topology.neighborhoods[idx]}: {exc} "
-                    f"(last passing anchor at step {anchored}; the fault lies in steps {anchored + 1}..{t})"
-                ) from exc
-            debt, norm_f = rec.psd_debt, math.sqrt(rec.purity)
+        dense.step(channels[idx])
+        try:
+            rec = dense.record(t, None if debt is None else debt + step_bounds[idx] * norm_f)
+            if gap is not None:
+                quiet = quiet + 1 if getattr(rec, gap[0]) - gap[1] < EARLY_STOP_THRESHOLD else 0
+            stop = quiet >= 2 * topology.m
+            if debt is not None and (rec.psd_debt > PSD_DEBT_BUDGET or stop or t == steps):
+                rec = replace(rec, psd_debt=(yield dense))
+                anchored = t
+        except ValueError as exc:
+            raise ValueError(
+                f"{family.kind} run, step {t} on edge {topology.neighborhoods[idx]}: {exc} "
+                f"(last passing anchor at step {anchored}; the fault lies in steps {anchored + 1}..{t})"
+            ) from exc
+        debt, norm_f = rec.psd_debt, math.sqrt(rec.purity)
         records.append(rec)
         if stop:
             break
-    return records, x, layout
+    return records, dense.final()
 
 
-def _drive(loop, first, scratch):
-    """Run the step loop to its end on this thread, from first() (its next anchor request).
-
-    Each requested anchor is validate_density_matrix of a canonical copy made
-    into `scratch`, the loop's transposed-copy buffer, which the next step
-    overwrites.  Returns the records and the final state: the last anchored
-    copy, or for a run without validation a canonical copy of the last state.
-    """
-    canonical = None
+def _drive(loop, first):
+    """Run the step loop to its end on this thread, from first() (its next anchor request); returns its (records, final state)."""
     try:
-        request = first()
+        dense = first()
         while True:
-            canonical = _canonical(*request, scratch)
             try:
-                debt = validate_density_matrix(canonical)
+                debt = dense.anchor()
             except ValueError as exc:
-                request = loop.throw(exc)
+                dense = loop.throw(exc)
             else:
-                request = loop.send(debt)
+                dense = loop.send(debt)
     except StopIteration as done:
-        records, x, layout = done.value
-    return records, _canonical(x, layout, scratch) if canonical is None else canonical
+        return done.value
 
 
 def _overlapped(loop, anchor):
@@ -416,6 +420,10 @@ def _overlapped(loop, anchor):
     raises what the worker raised.  When the factorization fails, the worker
     is stopped at its next step and joined, and eigvalsh either raises the
     input's error or gives the debt of a fresh loop, which stays inline.
+    The worker steps and this thread factorizes, not the reverse, since the
+    Cholesky's state-sized output and its LAPACK workspace would otherwise
+    land in the worker's malloc arena (swapped, the traj_m9 benchmark's peak
+    RSS rose about 6% and its op rate did not drop).
     """
     halt, outcome = threading.Event(), []
     steps_loop = loop(anchor.debt, halt)

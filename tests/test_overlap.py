@@ -148,9 +148,17 @@ def test_rejected_states_keep_their_messages_on_the_threaded_path(rho, message):
 def test_input_inside_the_floor_reruns_inline_with_the_eigvalsh_debt(monkeypatch):
     rho = spectrum_state(-0.4 * PSD_ATOL)
     assert not _Anchor(rho).cholesky()  # the rerun path: the Cholesky fails, and eigvalsh accepts
+    two_done, cholesky = threading.Event(), _Anchor.cholesky
+
+    def late_cholesky(self):  # the input's factorization fails only after the worker's second step
+        assert two_done.wait(10.0)
+        return cholesky(self)
+
     args = (rho, RING, ChannelFamily.ssc(), Schedule.cyclic(), 12)
-    threads = step_threads(monkeypatch)
+    monkeypatch.setattr(qcore._Anchor, "cholesky", late_cholesky)
+    threads = step_threads(monkeypatch, on_step=lambda n: n == 3 and two_done.set())
     rerun = run(*args)
+    assert len(threads) >= 14 and threads[0] == threads[1] != threading.get_ident()  # the worker made two steps
     assert threads[-12:] == [threading.get_ident()] * 12  # the rerun made every step on the caller's thread
     inline(monkeypatch)
     plain = run(*args)

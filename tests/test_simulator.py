@@ -1,3 +1,4 @@
+import threading
 from itertools import combinations
 from math import comb
 
@@ -626,6 +627,20 @@ def test_carried_run_records_match_the_canonical_replay(monkeypatch, family, m, 
     for trace, rho in zip(traces, states[1:]):
         assert abs(trace - np.trace(rho)) <= 1e-12
     assert result.final_state.tobytes() == states[-1].tobytes()
+
+
+@pytest.mark.parametrize("start", ["dense", "ghz"])
+@pytest.mark.parametrize(
+    "family", [ChannelFamily.gossip(0.3), ChannelFamily.ssc(), ChannelFamily.smc()], ids=["gossip", "ssc", "smc"]
+)
+def test_threaded_run_records_match_the_canonical_replay(monkeypatch, family, start):
+    # At m = 8 (d = simulator.OVERLAP_MIN_DIM) a validated run makes its steps
+    # on a worker thread when it has a spare core, forced here.
+    monkeypatch.setattr(simulator, "_spare_core", lambda: True)
+    threads, step = [], simulator._pair_step
+    monkeypatch.setattr(simulator, "_pair_step", lambda *args: threads.append(threading.get_ident()) or step(*args))
+    test_carried_run_records_match_the_canonical_replay(monkeypatch, family, 8, "ring-chord", start, True)
+    assert threads[0] != threading.get_ident()
 
 
 @pytest.mark.parametrize(
