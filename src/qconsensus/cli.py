@@ -124,11 +124,11 @@ def _section(cfg: dict, key: str, required: bool = True) -> dict:
     return value
 
 
-def _int_value(section: dict, key: str, context: str | None = None, default=None) -> int:
+def _int_value(section: dict, key: str, context: str | None = None, default=None, gate=_as_index):
     name, value = f"{context}.{key}" if context else key, section.get(key, default)
     if value is None:
         raise InputError(f"missing key '{name}'")
-    return _as_index(value, f"'{name}'")
+    return gate(value, f"'{name}'")
 
 
 def _build_topology(cfg: dict) -> NetworkTopology:
@@ -153,8 +153,10 @@ def _build_topology(cfg: dict) -> NetworkTopology:
 def _build_family(cfg: dict, kind: str | None = None) -> ChannelFamily:
     """The config's family, or the given kind with the config's alpha (the section is then optional)."""
     section = _section(cfg, "family", required=kind is None)
+    if (kind := kind or section.get("kind")) is None:
+        raise InputError("missing key 'family.kind'")
     alpha = section.get("alpha")
-    return ChannelFamily(kind or section.get("kind"), None if alpha is None else _as_real(alpha, "'family.alpha'"))
+    return ChannelFamily(kind, None if alpha is None else _as_real(alpha, "'family.alpha'"))
 
 
 def _build_schedule(cfg: dict, master_seed: int) -> Schedule:
@@ -273,7 +275,7 @@ def cmd_convergence(args) -> int:
     cfg, seed, topology, rho0 = _load(args)
     family = _build_family(cfg)
     section = _section(cfg, "convergence")
-    gamma = _as_real(section.get("gamma"), "'convergence.gamma'")
+    gamma = _int_value(section, "gamma", "convergence", gate=_as_real)
     horizon = _int_value(section, "horizon", "convergence")
     trials = _int_value(section, "trials", "convergence")
     estimate = convergence_probability(rho0, topology, family, gamma, horizon, trials, seed)

@@ -258,12 +258,14 @@ def run(
     the loop.  The worker allocates no state-sized array: glibc gives each
     thread its own malloc arena, and state-sized blocks freed in the
     worker's arena would stay resident where the caller cannot reuse them.
-    Errors keep their order: the input's own error comes first (a worker
-    fault is raised only when the input passes), then the disconnected-graph
-    warning, then the errors of the loop.  If the input's Cholesky fails, the
-    worker stops at its next step, and eigvalsh either raises the input's
-    error or gives the debt with which the loop reruns inline.  No thread
-    outlives the call.
+    Errors come in the order of the other entry points: the warning for a
+    disconnected graph first, then the input's own error (a worker fault is
+    raised only once the input passes), then the errors of the loop.  The
+    early-stop gossip target is computed only after the input's O(d^2)
+    checks, so an input that fails them never pays for it.  If the input's
+    Cholesky fails, the worker stops at its next step, and eigvalsh either
+    raises the input's error or gives the debt with which the loop reruns
+    inline.  No thread outlives the call.
 
     Returns
     -------
@@ -274,24 +276,20 @@ def run(
     if steps < 1:
         raise InputError(f"need steps >= 1, got {steps}")
     m = topology.m
+    if not is_connected(topology):
+        warnings.warn("interaction graph is not connected; convergence is not guaranteed")
     rho = _as_state(rho0, m)
-    gap = None
-    if early_stop:  # the gap is the record field minus its limit (see lyapunov_gap)
-        gap = ("v_total", m) if family.kind == "ssc" else ("v_smc", 0.0) if family.kind == "smc" else (
-            "purity", purity(gossip_fixed_point(rho, m)))
 
     def loop(debt, halt=None):  # a fresh state per loop, so a rerun starts from rho
+        gap = None
+        if early_stop:  # the gap is the record field minus its limit (see lyapunov_gap)
+            gap = ("v_total", m) if family.kind == "ssc" else ("v_smc", 0.0) if family.kind == "smc" else (
+                "purity", purity(gossip_fixed_point(rho, m)))
         return _steps(_Dense(rho, m), topology, family, schedule, steps, gap, debt, halt)
 
     if validate and len(rho) >= OVERLAP_MIN_DIM and _spare_core():
-        steps_loop, first = _overlapped(loop, _Anchor(rho))  # the prelude: Hermiticity and trace errors come first
-    else:
-        steps_loop = loop(validate_density_matrix(rho) if validate else None)
-        first = steps_loop.__next__
-    if not is_connected(topology):
-        warnings.warn("interaction graph is not connected; convergence is not guaranteed")
-    records, final_state = _drive(steps_loop, first)
-    return RunResult(records=records, final_state=final_state)
+        return RunResult(*_drive(*_overlapped(loop, _Anchor(rho))))
+    return RunResult(*_drive(loop(validate_density_matrix(rho) if validate else None)))
 
 
 def _usable_cpus():
@@ -398,10 +396,10 @@ def _steps(dense, topology, family, schedule, steps, gap, debt, halt=None):
     return records, dense.final()
 
 
-def _drive(loop, first):
-    """Run the step loop to its end on this thread, from first() (its next anchor request); returns its (records, final state)."""
+def _drive(loop, request=None):
+    """Run the step loop to its end on this thread, from its anchor request (next(loop) if none); returns its (records, final state)."""
     try:
-        dense = first()
+        dense = next(loop) if request is None else request
         while True:
             try:
                 debt = dense.anchor()
@@ -416,10 +414,11 @@ def _drive(loop, first):
 def _overlapped(loop, anchor):
     """Start loop(anchor.debt) on a worker thread up to its first anchor request while this thread runs anchor.cholesky().
 
-    Returns the loop and a callable that gives the worker's first request or
-    raises what the worker raised.  When the factorization fails, the worker
-    is stopped at its next step and joined, and eigvalsh either raises the
-    input's error or gives the debt of a fresh loop, which stays inline.
+    Returns the loop and the worker's first request, or raises what the
+    worker raised once the input has passed.  When the factorization fails,
+    the worker is stopped at its next step and joined, and eigvalsh either
+    raises the input's error or gives the debt of a fresh loop, returned
+    with no request: it stays inline.
     The worker steps and this thread factorizes, not the reverse, since the
     Cholesky's state-sized output and its LAPACK workspace would otherwise
     land in the worker's malloc arena (swapped, the traj_m9 benchmark's peak
@@ -431,7 +430,7 @@ def _overlapped(loop, anchor):
     def work():
         try:
             outcome.append(next(steps_loop))
-        except BaseException as exc:  # StopIteration included; re-raised on the caller's thread
+        except BaseException as exc:  # re-raised on the caller's thread
             outcome.append(exc)
 
     worker = threading.Thread(target=work, name="qconsensus-run-steps")
@@ -446,15 +445,10 @@ def _overlapped(loop, anchor):
         worker.join()
         raise
     if not factorized:
-        steps_loop = loop(anchor.eigvalsh_debt())
-        return steps_loop, steps_loop.__next__
-
-    def first():
-        if isinstance(outcome[0], BaseException):
-            raise outcome[0]
-        return outcome[0]
-
-    return steps_loop, first
+        return loop(anchor.eigvalsh_debt()), None
+    if isinstance(outcome[0], BaseException):
+        raise outcome[0]
+    return steps_loop, outcome[0]
 
 
 def convergence_probability(
@@ -527,12 +521,14 @@ def measure_local_z(rho: np.ndarray, site: int, m: int, rng: np.random.Generator
 
     Returns (outcome, post_state) with outcome +1 for |0> and -1 for |1>,
     sampled by the Born rule.  Outcomes with probability below 1e-12 are
-    never sampled.
+    never sampled.  A trace other than 1 (or NaN) raises ValueError.
     """
     site = _as_site(site, m)
     rho = _as_state(rho, m)
+    diag = np.real(np.diag(rho))
+    check_trace(diag)
     mask0 = 1.0 - site_bits(m)[:, site - 1]
-    p_plus = float(np.clip(np.dot(mask0, np.real(np.diag(rho))), 0.0, 1.0))
+    p_plus = float(np.clip(np.dot(mask0, diag), 0.0, 1.0))
     if p_plus < MEASUREMENT_PROBABILITY_FLOOR:
         outcome = -1
     elif p_plus > 1.0 - MEASUREMENT_PROBABILITY_FLOOR:
@@ -550,10 +546,12 @@ def measure_global_observable(rho: np.ndarray, m: int, rng: np.random.Generator)
 
     Samples an excitation subspace k (eigenvalue 2*(m-k)) with the Born-rule
     probability and returns (k, renormalized projected state).  Subspaces
-    with probability below 1e-12 are never sampled.
+    with probability below 1e-12 are never sampled.  A trace other than 1
+    (or NaN) raises ValueError.
     """
     rho = _as_state(rho, m)
     diag = np.real(np.diag(rho))
+    check_trace(diag)
     counts = excitation_counts(m)
     probs = np.bincount(counts, weights=diag, minlength=m + 1)
     probs[probs < MEASUREMENT_PROBABILITY_FLOOR] = 0.0

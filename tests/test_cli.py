@@ -443,6 +443,25 @@ def test_top_level_steps_errors_name_the_bare_key(tmp_path, capsys, steps, messa
 
 
 @pytest.mark.parametrize(
+    "command, config, key",
+    [
+        ("convergence", "family: {kind: smc}\nconvergence: {horizon: 5, trials: 3}\n", "convergence.gamma"),
+        ("convergence", "family: {kind: smc}\nconvergence: {gamma: 0.1, trials: 3}\n", "convergence.horizon"),
+        ("convergence", "family: {kind: smc}\nconvergence: {gamma: 0.1, horizon: 5}\n", "convergence.trials"),
+        ("convergence", "family: {alpha: 0.2}\nconvergence: {gamma: 0.1, horizon: 5, trials: 3}\n", "family.kind"),
+        ("run", "family: {alpha: 0.2}\nsteps: 5\n", "family.kind"),
+        ("prepare", "prepare: {steps: 5}\n", "prepare.target_k"),
+    ],
+    ids=["gamma", "horizon", "trials", "convergence-family-kind", "run-family-kind", "target_k"],
+)
+def test_missing_required_keys_say_so(tmp_path, capsys, command, config, key):
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(PATH3_YAML + RANDOM_START + config)
+    assert main([command, "--config", str(cfg_path), "--output-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"config error: missing key '{key}'\n"
+
+
+@pytest.mark.parametrize(
     "edges, schedule, key",
     [
         ("[[1, 2], [2, 3]]", "{mode: random, seed: 1.5}", "schedule.seed"),

@@ -214,6 +214,27 @@ def test_an_invalid_input_outranks_a_fault_on_the_worker(monkeypatch):
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("path", ["threaded", "inline"])
+def test_a_disconnected_graph_warns_before_the_input_is_rejected(monkeypatch, path):
+    # The graph is checked before the state, as in convergence_probability and prepare_dicke.
+    if path == "inline":
+        inline(monkeypatch)
+    calls, overlapped = [], simulator._overlapped
+
+    def counting_overlapped(*args):
+        calls.append(path)
+        return overlapped(*args)
+
+    monkeypatch.setattr(simulator, "_overlapped", counting_overlapped)
+    split = NetworkTopology(m=M, neighborhoods=((1, 2), (3, 4), (5, 6), (7, 8)))
+    before = threading.active_count()
+    with pytest.warns(UserWarning, match="not connected"), pytest.raises(ValueError) as err:
+        run(spectrum_state(-2 * PSD_ATOL), split, ChannelFamily.ssc(), Schedule.cyclic(), 5)
+    assert str(err.value) == "not positive semidefinite: min eigenvalue -2.000e-09"
+    assert calls == (["threaded"] if path == "threaded" else [])
+    assert threading.active_count() == before
+
+
 def test_a_failing_factorization_stops_the_worker_within_one_step(monkeypatch):
     halts, two_done = [], threading.Event()
     steps_loop = simulator._steps

@@ -1,4 +1,5 @@
 import threading
+import warnings
 from itertools import combinations
 from math import comb
 
@@ -419,6 +420,46 @@ def test_sites_that_are_not_integers_raise(call, site):
 def test_random_schedule_has_no_default_seed():
     with pytest.raises(TypeError):
         Schedule.random()
+
+
+def test_random_schedules_draw_each_neighborhood_with_its_selection_weight():
+    # 40 000 seeded draws: each edge's count lies within 4.5 binomial standard
+    # errors of q_e * N.  Uniform draws would miss the 0.1 edge's by 100 of them.
+    weights, n = (0.1, 0.2, 0.3, 0.4), 40_000
+    topology = NetworkTopology(m=4, neighborhoods=((1, 2), (2, 3), (3, 4), (1, 4)), probabilities=weights)
+    counts = np.bincount(simulator._picks(Schedule.random(seed=17), topology, n), minlength=4)
+    for q, count in zip(weights, counts):
+        assert abs(count - q * n) <= 4.5 * np.sqrt(n * q * (1 - q))
+
+
+@pytest.mark.parametrize("state", ["nan", "trace-2"])
+@pytest.mark.parametrize(
+    "measure",
+    [lambda rho: measure_local_z(rho, 1, 2, np.random.default_rng(0)), lambda rho: measure_global_observable(rho, 2, np.random.default_rng(0))],
+    ids=["measure_local_z", "measure_global_observable"],
+)
+def test_measurements_reject_states_without_unit_trace(measure, state):
+    rho = np.full((4, 4), np.nan, dtype=complex) if state == "nan" else np.eye(4, dtype=complex) / 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the trace check comes before any arithmetic that would warn
+        with pytest.raises(ValueError, match=r"^trace (nan|2)\+0j deviates from 1 by more than"):
+            measure(rho)
+
+
+def test_an_invalid_input_is_rejected_before_the_gossip_target_is_computed(monkeypatch):
+    calls, fixed_point = [], simulator.gossip_fixed_point
+
+    def spying_fixed_point(rho, m):
+        calls.append(m)
+        return fixed_point(rho, m)
+
+    monkeypatch.setattr(simulator, "gossip_fixed_point", spying_fixed_point)
+    args = (PATH3, ChannelFamily.gossip(0.3), Schedule.cyclic(), 5)
+    with pytest.raises(ValueError, match="^trace 2"):
+        run(2 * random_density(1, 8), *args, early_stop=True)
+    assert calls == []
+    run(random_density(1, 8), *args, early_stop=True)
+    assert calls == [3]
 
 
 def test_trajectory_csv_shape(tmp_path):
