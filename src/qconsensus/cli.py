@@ -172,7 +172,8 @@ def _build_schedule(cfg: dict, master_seed: int) -> Schedule:
 
 def _build_initial_state(cfg: dict, m: int, master_seed: int) -> np.ndarray:
     section = _section(cfg, "initial_state")
-    kind = section.get("kind")
+    if (kind := section.get("kind")) is None:
+        raise InputError("missing key 'initial_state.kind'")
     if kind == "basis":
         bits = section.get("string")
         if not isinstance(bits, str) or len(bits) != m:

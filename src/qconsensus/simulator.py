@@ -252,11 +252,12 @@ def run(
     than the overlap saves, and without a spare core the worker's matmul and
     the caller's Cholesky share one (measured at m = 9: 7% slower with one
     usable core, 12% slower with two BLAS threads on two cores).
-    The worker runs up to the first state due for an anchor (the last or
-    early-stop step, or one past the budget) and stops there; the calling
-    thread makes every canonical copy and every factorization, and finishes
-    the loop.  The worker allocates no state-sized array: glibc gives each
-    thread its own malloc arena, and state-sized blocks freed in the
+    The worker runs the loop up to the first state due for an anchor (the
+    last or early-stop step, or one past the budget) and pauses it there;
+    once the input's Cholesky passes, the calling thread resumes the same
+    loop to its end, so it makes every canonical copy and every
+    factorization.  The worker allocates no state-sized array: glibc gives
+    each thread its own malloc arena, and state-sized blocks freed in the
     worker's arena would stay resident where the caller cannot reuse them.
     Errors come in the order of the other entry points: the warning for a
     disconnected graph first, then the input's own error (a worker fault is
@@ -288,8 +289,13 @@ def run(
         return _steps(_Dense(rho, m), topology, family, schedule, steps, gap, debt, halt)
 
     if validate and len(rho) >= OVERLAP_MIN_DIM and _spare_core():
-        return RunResult(*_drive(*_overlapped(loop, _Anchor(rho))))
-    return RunResult(*_drive(loop(validate_density_matrix(rho) if validate else None)))
+        steps_loop = _overlapped(loop, _Anchor(rho))
+    else:
+        steps_loop = loop(validate_density_matrix(rho) if validate else None)
+    try:
+        next(steps_loop)  # to the loop's end: it pauses at most once, on the worker
+    except StopIteration as done:
+        return RunResult(*done.value)
 
 
 def _usable_cpus():
@@ -358,12 +364,14 @@ class _Dense:
 
 
 def _steps(dense, topology, family, schedule, steps, gap, debt, halt=None):
-    """run's step loop on a fresh _Dense, as a generator: it yields the state where an anchor is due and takes back the anchored debt.
+    """run's step loop on a fresh _Dense, as a generator that anchors every state where an anchor is due.
 
     gap is the early-stop (record field, limit) or None, and debt None for a
-    run without validation.  Returns (records, final state), or None when
-    `halt` is set at the start of a step.  An exception thrown in at an
-    anchor is raised with the run's step, edge and anchor context.
+    run without validation.  Returns (records, final state) through
+    StopIteration, or None when `halt` is set at the start of a step.  Given
+    `halt`, the loop pauses once, with a bare yield, just before its first
+    anchor, and then drops `halt`; whoever resumes it makes every anchor.  An
+    anchor that fails is raised with the run's step, edge and anchor context.
     """
     channels = build_channels(family, topology)
     picks = _picks(schedule, topology, steps)
@@ -382,7 +390,10 @@ def _steps(dense, topology, family, schedule, steps, gap, debt, halt=None):
                 quiet = quiet + 1 if getattr(rec, gap[0]) - gap[1] < EARLY_STOP_THRESHOLD else 0
             stop = quiet >= 2 * topology.m
             if debt is not None and (rec.psd_debt > PSD_DEBT_BUDGET or stop or t == steps):
-                rec = replace(rec, psd_debt=(yield dense))
+                if halt is not None:
+                    yield
+                    halt = None
+                rec = replace(rec, psd_debt=dense.anchor())
                 anchored = t
         except ValueError as exc:
             raise ValueError(
@@ -396,48 +407,32 @@ def _steps(dense, topology, family, schedule, steps, gap, debt, halt=None):
     return records, dense.final()
 
 
-def _drive(loop, request=None):
-    """Run the step loop to its end on this thread, from its anchor request (next(loop) if none); returns its (records, final state)."""
-    try:
-        dense = next(loop) if request is None else request
-        while True:
-            try:
-                debt = dense.anchor()
-            except ValueError as exc:
-                dense = loop.throw(exc)
-            else:
-                dense = loop.send(debt)
-    except StopIteration as done:
-        return done.value
-
-
 def _overlapped(loop, anchor):
-    """Start loop(anchor.debt) on a worker thread up to its first anchor request while this thread runs anchor.cholesky().
+    """Start loop(anchor.debt) on a worker thread up to its pause while this thread runs anchor.cholesky().
 
-    Returns the loop and the worker's first request, or raises what the
+    Returns the paused loop, for this thread to resume, or raises what the
     worker raised once the input has passed.  When the factorization fails,
     the worker is stopped at its next step and joined, and eigvalsh either
     raises the input's error or gives the debt of a fresh loop, returned
-    with no request: it stays inline.
+    instead: it runs inline.
     The worker steps and this thread factorizes, not the reverse, since the
     Cholesky's state-sized output and its LAPACK workspace would otherwise
     land in the worker's malloc arena (swapped, the traj_m9 benchmark's peak
     RSS rose about 6% and its op rate did not drop).
     """
-    halt, outcome = threading.Event(), []
+    halt, faults = threading.Event(), []
     steps_loop = loop(anchor.debt, halt)
 
     def work():
         try:
-            outcome.append(next(steps_loop))
+            next(steps_loop)
         except BaseException as exc:  # re-raised on the caller's thread
-            outcome.append(exc)
+            faults.append(exc)
 
     worker = threading.Thread(target=work, name="qconsensus-run-steps")
     worker.start()
     try:
-        factorized = anchor.cholesky()
-        if not factorized:
+        if not (factorized := anchor.cholesky()):
             halt.set()
         worker.join()
     except BaseException:  # a raising factorization, or an interrupt in it or in the join
@@ -445,10 +440,10 @@ def _overlapped(loop, anchor):
         worker.join()
         raise
     if not factorized:
-        return loop(anchor.eigvalsh_debt()), None
-    if isinstance(outcome[0], BaseException):
-        raise outcome[0]
-    return steps_loop, outcome[0]
+        return loop(anchor.eigvalsh_debt())
+    if faults:
+        raise faults[0]
+    return steps_loop
 
 
 def convergence_probability(
@@ -516,17 +511,30 @@ def _gap_gather(family: ChannelFamily, channels, m: int):
     return _gather_tables(channels, table.sectors, np.repeat(table.scale, np.diff(table.starts, append=len(table.sectors))))
 
 
+def _populations(rho: np.ndarray) -> np.ndarray:
+    """The real diagonal of rho; ValueError unless it sums to 1 (check_trace) and no entry is below -PSD_ATOL.
+
+    A Hermitian matrix's least eigenvalue is at most its least diagonal
+    entry, so this rejects no state that validate_density_matrix accepts.
+    """
+    diag = np.real(np.diag(rho))
+    check_trace(diag)
+    if diag.min() < -PSD_ATOL:
+        raise ValueError(f"not positive semidefinite: min population {diag.min():.3e}")
+    return diag
+
+
 def measure_local_z(rho: np.ndarray, site: int, m: int, rng: np.random.Generator) -> tuple[int, np.ndarray]:
     """Projective sigma_z measurement of one site.
 
     Returns (outcome, post_state) with outcome +1 for |0> and -1 for |1>,
     sampled by the Born rule.  Outcomes with probability below 1e-12 are
-    never sampled.  A trace other than 1 (or NaN) raises ValueError.
+    never sampled.  A trace other than 1 (or NaN), or a population below
+    -PSD_ATOL, raises ValueError.
     """
     site = _as_site(site, m)
     rho = _as_state(rho, m)
-    diag = np.real(np.diag(rho))
-    check_trace(diag)
+    diag = _populations(rho)
     mask0 = 1.0 - site_bits(m)[:, site - 1]
     p_plus = float(np.clip(np.dot(mask0, diag), 0.0, 1.0))
     if p_plus < MEASUREMENT_PROBABILITY_FLOOR:
@@ -547,11 +555,10 @@ def measure_global_observable(rho: np.ndarray, m: int, rng: np.random.Generator)
     Samples an excitation subspace k (eigenvalue 2*(m-k)) with the Born-rule
     probability and returns (k, renormalized projected state).  Subspaces
     with probability below 1e-12 are never sampled.  A trace other than 1
-    (or NaN) raises ValueError.
+    (or NaN), or a population below -PSD_ATOL, raises ValueError.
     """
     rho = _as_state(rho, m)
-    diag = np.real(np.diag(rho))
-    check_trace(diag)
+    diag = _populations(rho)
     counts = excitation_counts(m)
     probs = np.bincount(counts, weights=diag, minlength=m + 1)
     probs[probs < MEASUREMENT_PROBABILITY_FLOOR] = 0.0

@@ -451,12 +451,14 @@ def test_top_level_steps_errors_name_the_bare_key(tmp_path, capsys, steps, messa
         ("convergence", "family: {alpha: 0.2}\nconvergence: {gamma: 0.1, horizon: 5, trials: 3}\n", "family.kind"),
         ("run", "family: {alpha: 0.2}\nsteps: 5\n", "family.kind"),
         ("prepare", "prepare: {steps: 5}\n", "prepare.target_k"),
+        ("run", "family: {kind: ssc}\nsteps: 5\ninitial_state: {seed: 3}\n", "initial_state.kind"),
     ],
-    ids=["gamma", "horizon", "trials", "convergence-family-kind", "run-family-kind", "target_k"],
+    ids=["gamma", "horizon", "trials", "convergence-family-kind", "run-family-kind", "target_k", "initial-state-kind"],
 )
 def test_missing_required_keys_say_so(tmp_path, capsys, command, config, key):
     cfg_path = tmp_path / "cfg.yaml"
-    cfg_path.write_text(PATH3_YAML + RANDOM_START + config)
+    start = "" if "initial_state:" in config else RANDOM_START  # a case may carry its own start section
+    cfg_path.write_text(PATH3_YAML + start + config)
     assert main([command, "--config", str(cfg_path), "--output-dir", str(tmp_path)]) == 1
     assert capsys.readouterr().err == f"config error: missing key '{key}'\n"
 

@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 
 from qconsensus import qcore, simulator
-from qconsensus.dynamics import ChannelFamily
+from qconsensus.dynamics import ChannelFamily, build_channels
 from qconsensus.network import NetworkTopology
-from qconsensus.qcore import PSD_ATOL, _Anchor, _pair_step, validate_density_matrix
+from qconsensus.qcore import PSD_ATOL, _Anchor, _pair_step, bitstring_ket, ket, ket_to_density, validate_density_matrix
 from qconsensus.simulator import Schedule, random_density, run
+from test_certificate import partially_transposed
 
 M = 8
 FAMILIES = {"gossip": ChannelFamily.gossip(0.3), "ssc": ChannelFamily.ssc(), "smc": ChannelFamily.smc()}
@@ -186,6 +187,40 @@ def test_trace_fault_on_the_worker_keeps_its_step_edge_and_anchor_context(monkey
         assert len(threads) == 2 and (threads[1] != threading.get_ident()) == (path == "threaded")
         messages.append(str(err.value))
     assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("kind", ["gossip", "ssc"])
+def test_an_anchor_that_fails_after_the_handoff_keeps_its_step_edge_and_anchor_context(monkeypatch, kind):
+    # The partially transposed edge-(1, 2) step makes the Bell pair there
+    # non-positive; the first anchor is due at the last step, so the worker
+    # makes every step and pauses, and the caller's anchor fails.  (smc maps
+    # this start's partial transpose back to a positive state.)
+    bell = ket_to_density(np.kron(ket([1, 0, 0, 1]), bitstring_ket("0" * (M - 2))))
+    channels = build_channels(FAMILIES[kind], RING)
+    monkeypatch.setattr(simulator, "build_channels", lambda family, top: (partially_transposed(channels[0]),) + channels[1:])
+    factorizations, cholesky = [], _Anchor.cholesky
+
+    def recording_cholesky(self):
+        factorizations.append((threading.get_ident(), cholesky(self)))
+        return factorizations[-1][1]
+
+    monkeypatch.setattr(qcore._Anchor, "cholesky", recording_cholesky)
+    messages = []
+    for path in ("threaded", "inline"):
+        if path == "inline":
+            inline(monkeypatch)
+        threads = step_threads(monkeypatch)
+        factorizations.clear()
+        before = threading.active_count()
+        with pytest.raises(ValueError) as err:
+            run(bell, RING, FAMILIES[kind], Schedule.cyclic(), 5)
+        assert threading.active_count() == before
+        assert len(threads) == 5 and (threading.get_ident() not in threads) == (path == "threaded")
+        assert factorizations == [(threading.get_ident(), True), (threading.get_ident(), False)]  # the input, step 5
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith(f"{kind} run, step 5 on edge (5, 6): not positive semidefinite: min eigenvalue -")
+    assert messages[0].endswith("(last passing anchor at step 0; the fault lies in steps 1..5)")
 
 
 def test_an_invalid_input_outranks_a_fault_on_the_worker(monkeypatch):

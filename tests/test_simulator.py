@@ -10,6 +10,7 @@ from qconsensus import simulator
 from qconsensus.dynamics import ChannelFamily, build_channels, ssc_pair_channel
 from qconsensus.network import InputError, NetworkTopology
 from qconsensus.qcore import (
+    PSD_ATOL,
     KrausChannel,
     _apply_pairs,
     _gather_tables,
@@ -444,6 +445,29 @@ def test_measurements_reject_states_without_unit_trace(measure, state):
         warnings.simplefilter("error")  # the trace check comes before any arithmetic that would warn
         with pytest.raises(ValueError, match=r"^trace (nan|2)\+0j deviates from 1 by more than"):
             measure(rho)
+
+
+@pytest.mark.parametrize(
+    "measure, diagonal, message",
+    [
+        (lambda rho: measure_local_z(rho, 1, 1, np.random.default_rng(0)), [1.5, -0.5], "-5.000e-01"),
+        (lambda rho: measure_global_observable(rho, 2, np.random.default_rng(0)), [1.5, -0.25, -0.25, 0], "-2.500e-01"),
+    ],
+    ids=["measure_local_z", "measure_global_observable"],
+)
+def test_measurements_reject_negative_populations(measure, diagonal, message):
+    # Unit trace, so only the population check can catch these states.
+    with pytest.raises(ValueError, match=f"^not positive semidefinite: min population {message}$"):
+        measure(np.diag(diagonal).astype(complex))
+
+
+def test_measurements_accept_negative_populations_inside_the_floor():
+    rho = np.diag([0.5 + 0.5 * PSD_ATOL, 0.5, -0.5 * PSD_ATOL, 0.0]).astype(complex)
+    validate_density_matrix(rho)
+    outcome, post = measure_local_z(rho, 1, 2, np.random.default_rng(0))
+    assert outcome == +1 and np.trace(post).real == pytest.approx(1.0)
+    k, post = measure_global_observable(rho, 2, np.random.default_rng(0))
+    assert k in (0, 1) and np.trace(post).real == pytest.approx(1.0)
 
 
 def test_an_invalid_input_is_rejected_before_the_gossip_target_is_computed(monkeypatch):
