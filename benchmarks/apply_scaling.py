@@ -7,7 +7,9 @@ same script measures any checkout of the package that has the buffered pair
 kernel (`qcore._pair_step` and `qcore._apply_pairs`), the two-part anchor
 (`qcore._Anchor`), the reduced Monte-Carlo trial
 (`simulator._gap_gather` over `qcore._gather_tables`), the carried-layout
-state object (`simulator._Dense`) and `dynamics.certify_family`.
+state object (`simulator._Dense`), the zero-coherence state object
+(`simulator._Sectors`, built by `simulator._layout`) and
+`dynamics.certify_family`.
 For every m in `--sizes` and every family it times, on the pair
 (m//2, m//2 + 1) and a seeded dense state:
 
@@ -51,6 +53,18 @@ For every m in `--sizes` and every family it times, on the pair
 * validated_run_s: one end-to-end validated `simulator.run` of
   VALIDATED_RUN_STEPS cyclic steps on the m-site path graph, for m <= 10
   only (at m = 9 the shape of the benchmark's traj_m9 op).
+* sector_step_s, sector_tables_s and the basis-string runs, for m <= 10
+  only, on the m-site ring graph from the half-filled basis string
+  0101...: a start without coherence between excitation sectors, so `run`
+  evolves only its C(2m, m) zero-coherence entries (`simulator._Sectors`).
+  sector_step_s is one gather step of that state; sector_tables_s is the
+  build of the gather tables for all the ring's channels
+  (`qcore._gather_tables`, once per run) divided by their count.
+  sector_run_<n>_s and dense_run_<n>_s time one end-to-end validated
+  cyclic `simulator.run` of n steps, n in SECTOR_RUN_STEPS, on the sector
+  layout and on the dense one (`simulator._Dense`), each forced by
+  replacing `simulator._sectors_pay`, which keeps this start on the dense
+  layout from m = 8 on and for runs with few steps per gather table.
 
 Each per-m row also holds two family-independent times on the seeded state:
 
@@ -79,6 +93,7 @@ import statistics
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
@@ -89,6 +104,7 @@ FAMILIES = ("gossip", "ssc", "smc")
 CONVERGENCE_TRIALS, CONVERGENCE_HORIZON, CONVERGENCE_GAMMA = 20, 100, 0.05
 RUN_BASE_STEPS, RUN_EXTRA_STEPS = 17, 32
 VALIDATED_RUN_STEPS = 8
+SECTOR_RUN_STEPS = (20, 200)
 
 
 def repeats_for(m: int) -> int:
@@ -166,6 +182,35 @@ def run_step_time(family, topology, rho: np.ndarray, repeats: int) -> float:
     return (times[1] - times[0]) / RUN_EXTRA_STEPS
 
 
+def sector_split(family, topology, repeats: int) -> dict:
+    """The sector layout's step and table build, and validated basis-string runs on both layouts (see the module docstring)."""
+    from qconsensus import simulator
+    from qconsensus.dynamics import build_channels
+    from qconsensus.qcore import _gather_tables, bitstring_ket, ket_to_density
+    from qconsensus.simulator import Schedule, run
+    from qconsensus.symmetry import _readout
+
+    m = topology.m
+    rho = ket_to_density(bitstring_ket(("01" * m)[:m]))
+    channels = build_channels(family, topology)
+    with mock.patch.object(simulator, "_sectors_pay", lambda *args: True):
+        state = simulator._layout(rho, m, channels, range(len(channels)))()
+    if not isinstance(state, simulator._Sectors):
+        raise RuntimeError(f"a basis string took {type(state).__name__}")
+    pair = channels[m // 2 - 1]  # the ring's edge (m//2, m//2 + 1)
+    sectors = _readout(m, 1 << m).sectors
+    out = {
+        "sector_step_s": median_time(lambda: state.step(pair), repeats),
+        "sector_tables_s": median_time(lambda: _gather_tables(channels, sectors), repeats) / len(channels),
+    }
+    for steps in SECTOR_RUN_STEPS:
+        args = (rho, topology, family, Schedule.cyclic(), steps)
+        for layout, pays in (("sector", True), ("dense", False)):
+            with mock.patch.object(simulator, "_sectors_pay", lambda *args: pays):
+                out[f"{layout}_run_{steps}_s"] = median_time(lambda: run(*args), repeats)
+    return out
+
+
 def record_fn(m: int, rho: np.ndarray):
     """The per-step record of a run on rho's image under one pair step."""
     from qconsensus.dynamics import ChannelFamily, neighborhood_channel
@@ -188,6 +233,7 @@ def layer_times(m: int) -> dict:
     rho = random_density(m, 1 << m) if m <= 10 else low_rank_density(m, 1 << m)
     repeats = repeats_for(m)
     path = NetworkTopology(m=m, neighborhoods=tuple((i, i + 1) for i in range(1, m)))
+    ring = NetworkTopology(m=m, neighborhoods=path.neighborhoods + ((1, m),))
     out = {}
     for kind in FAMILIES:
         family = ChannelFamily(kind)
@@ -208,6 +254,7 @@ def layer_times(m: int) -> dict:
             out[kind]["run_step_s"] = run_step_time(family, path, rho, repeats)
             validated = (rho, path, family, Schedule.cyclic(), VALIDATED_RUN_STEPS)
             out[kind]["validated_run_s"] = median_time(lambda: run(*validated), repeats)
+            out[kind].update(sector_split(family, ring, repeats))
         if m <= 8:
             args = (rho, path, family, CONVERGENCE_GAMMA, CONVERGENCE_HORIZON, CONVERGENCE_TRIALS, 0)
             out[kind]["convergence_s"] = median_time(lambda: convergence_probability(*args), min(repeats, 5))

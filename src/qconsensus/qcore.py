@@ -250,7 +250,8 @@ def _kraus_list(channel_or_ops):
 
 def completeness_residual(kraus_ops) -> float:
     """Max-abs norm of sum_k A_k^dag A_k - I."""
-    acc = sum(a.conj().T @ a for a in _kraus_list(kraus_ops))
+    a = np.array(_kraus_list(kraus_ops))
+    acc = (a.conj().transpose(0, 2, 1) @ a).sum(0)
     return float(np.max(np.abs(acc - np.eye(len(acc)))))
 
 
@@ -304,7 +305,8 @@ class KrausChannel:
         object.__setattr__(self, "sites", sites)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "dim", 1 << m)
-        superop = sum(np.kron(a, a.conj()) for a in ops)
+        a, n2 = np.array(ops), local_dim * local_dim  # superop[(i, j), (l, n)] = sum_k A_k[i, l] conj(A_k[j, n])
+        superop = (a[:, :, None, :, None] * a.conj()[:, None, :, None, :]).reshape(len(ops), n2, n2).sum(0)
         object.__setattr__(self, "superop", superop if superop.imag.any() else np.ascontiguousarray(superop.real))
         axes = [s - 1 for s in sites] + [m + s - 1 for s in sites]
         perm = tuple(axes + [a for a in range(2 * m) if a not in axes])
@@ -352,32 +354,61 @@ def _canonical(t: np.ndarray, layout, into: np.ndarray) -> np.ndarray:
     return into
 
 
-def _gather_tables(channels, reads: np.ndarray, weights: np.ndarray):
+def _gather_tables(channels, reads: np.ndarray):
     """The smallest flat entry set holding `reads` that every channel keeps closed, and each channel's gather on it.
 
-    The set starts as the flat positions `reads` (canonical layout) and grows
-    until every channel's kept outputs read only kept inputs (superop rows).
-    Returns the ascending kept positions; per channel (idx, coef) of shape
-    (K, N), N = len(kept), K the most nonzeros in a kept row, so a step on
-    v = x.flat[kept] is np.add.reduce(coef * v[idx]); and `weights` on kept.
+    kept holds the distinct flat positions `reads` (canonical layout) in
+    their order, then the entries each pass of the closure adds, ascending;
+    the set grows until every channel's kept outputs read only kept inputs
+    (superop rows).  Per channel, (idx, coef) are C-contiguous (K, N) arrays,
+    N = len(kept), K the most nonzeros in a superop row that a kept entry
+    takes, and idx holds intp positions into kept, so a step on
+    v = x.flat[kept] is np.add.reduce(coef * v[idx]) (_gather_step).  Each
+    output's terms are its superop row's nonzeros in column order, padded
+    with zero-coefficient reads of the output's own entry.  Returns
+    (kept, tables).
     """
-    mask = np.zeros(1 << (2 * channels[0].m), dtype=bool)
-    mask[reads] = True
+    m = channels[0].m
+    kept = np.asarray(reads, dtype=np.intp)
+    rank = np.full(1 << (2 * m), -1, dtype=np.intp)  # a flat position's place in kept
+    rank[kept] = np.arange(len(kept))
     while True:
-        kept, tables = np.flatnonzero(mask), []
-        for ch in channels:  # a superop index holds the row bits, then the column bits, of ch.sites in order
-            shifts = np.array([2 * ch.m - s for s in ch.sites] + [ch.m - s for s in ch.sites])
-            place = 1 << np.arange(len(shifts) - 1, -1, -1)
-            loc = ((kept[:, None] >> shifts) & 1) @ place
-            offsets = ((np.arange(len(ch.superop))[:, None] & place) > 0) @ (1 << shifts)
+        tables, missing = [], []
+        for ch in channels:
+            # A flat position's superop index (loc) holds its row bits, then its column bits, of ch.sites in
+            # order; offsets[i] is the flat position of the bits of index i.
+            loc, offsets = np.zeros(len(kept), dtype=np.intp), np.zeros(1, dtype=np.intp)
+            for shift in [2 * m - s for s in ch.sites] + [m - s for s in ch.sites]:
+                loc = (loc << 1) | ((kept >> shift) & 1)
+                offsets = np.add.outer(offsets, [0, 1 << shift]).ravel()
             nonzero = ch.superop != 0
-            cols = np.argsort(~nonzero, axis=1, kind="stable")[loc, : nonzero.sum(1)[loc].max()]  # nonzeros first
-            coef, inputs = ch.superop[loc[:, None], cols], (kept - offsets[loc])[:, None] + offsets[cols]
-            mask[inputs[coef != 0]] = True
-            inputs[coef == 0] = kept[0]  # padding reads a kept entry
-            tables.append((np.searchsorted(kept, inputs.T), coef.T.copy()))
-        if np.count_nonzero(mask) == len(kept):
-            return kept, tables, np.bincount(np.searchsorted(kept, reads), weights, len(kept))
+            cols = np.argsort(~nonzero, axis=1, kind="stable")[:, : nonzero.sum(1)[loc].max()]  # nonzeros first
+            # Per superop row: its K terms' coefficients and input offsets.
+            coef = ch.superop[np.arange(len(cols))[:, None], cols]
+            delta = np.where(coef != 0, offsets[cols] - offsets[:, None], 0)
+            inputs = kept + np.take(delta.T.copy(), loc, axis=1)
+            idx = rank[inputs]
+            missing.append(inputs[idx < 0])
+            tables.append((idx, np.take(coef.T.copy(), loc, axis=1)))
+        added = np.sort(np.concatenate(missing))
+        if not len(added):
+            return kept, tables
+        added = added[np.append(True, added[1:] != added[:-1])]  # distinct; np.unique would import numpy.ma (1 MiB resident)
+        rank[added] = np.arange(len(kept), len(kept) + len(added))
+        kept = np.concatenate([kept, added])
+
+
+def _gather_step(v: np.ndarray, table, buf: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """One gather step, out = np.add.reduce(coef * v[idx]) with (idx, coef) = table, in the caller's buffers.
+
+    buf is a C-contiguous array of v's dtype with at least K rows of len(v)
+    entries, and out one of v's size, so a step allocates no array.  Returns out.
+    """
+    idx, coef = table
+    terms = buf[: len(idx)]
+    v.take(idx, out=terms, mode="clip")  # in range; the default mode copies through a temporary
+    np.multiply(coef, terms, out=terms)
+    return np.add.reduce(terms, axis=0, out=out)
 
 
 def _apply_pairs(x: np.ndarray, steps) -> np.ndarray:

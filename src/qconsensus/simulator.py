@@ -10,6 +10,7 @@ seed, so results are reproducible and independent of trial execution order.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -20,9 +21,10 @@ import numpy as np
 
 from .dynamics import ChannelFamily, build_channels
 from .network import InputError, NetworkTopology, _as_count, _as_index, _as_nonnegative, _as_real, _as_site, _as_state, is_connected
-from .qcore import PSD_ATOL, _Anchor, _apply_pairs, _canonical, _gather_tables, _pair_step, apply_error_bound, check_trace, purity, validate_density_matrix
+from .qcore import PSD_ATOL, _Anchor, _apply_pairs, _canonical, _gather_step, _gather_tables, _pair_step, apply_error_bound, check_trace, purity, validate_density_matrix
 from .symmetry import (
     _readout,
+    _sector_readout,
     _sector_sums,
     dicke_populations,
     excitation_counts,
@@ -61,6 +63,11 @@ PSD_DEBT_BUDGET = PSD_ATOL / 2
 # run loses about 0.8 ms to the thread handoff at m = 7 and gains about 1 ms
 # at m = 8 (13 ms at m = 9).
 OVERLAP_MIN_DIM = 256
+# A run on d < OVERLAP_MIN_DIM dimensions from a start without coherence
+# between excitation sectors evolves its zero-coherence entries alone
+# (_Sectors) when it makes at least this many steps, divided by d, per gather
+# table it needs (see _sectors_pay).
+SECTOR_TABLE_WORK = 1024
 
 
 @dataclass(frozen=True)
@@ -241,6 +248,25 @@ def run(
     last step.  A failure inside the run names the family, the step, its
     edge, and the steps since the last passing anchor.
 
+    The state is one of two objects with the same four methods (step,
+    record, anchor, final).  A start whose entries (r, c) with |r| != |c|
+    are all exactly 0, such as a basis string, a Dicke state or an output of
+    measure_global_observable, can run on _Sectors: every Kraus operator of
+    the three families shifts the row and column excitation counts by the
+    same amount, so only its C(2m, m) entries with |r| = |c| move, one
+    gather per step.  It does when _sectors_pay: the state has fewer than
+    OVERLAP_MIN_DIM dimensions, where the gather tables of the channels the
+    schedule picks stay within a few MB (beyond, they outgrow _Dense's
+    buffers), and the run makes at least SECTOR_TABLE_WORK / d steps per
+    table.  Every other start runs on _Dense, the whole matrix in the pair
+    kernel's carried layout (see _layout for the check, O(d) on a
+    Haar-random start).  apply_error_bound covers a gather step too: each gathered
+    output is the dense kernel's 16-term row product with its exactly-zero
+    terms dropped, so its rounding is within gamma_K <= gamma_16 of the same
+    terms, and the entries outside the sectors stay exactly 0 in the dense
+    evolution as well.  Anchors and the final state scatter the sector
+    entries into a dense matrix, so both layouts keep the dense anchor.
+
     The steps never read the input's factorization, only its debt, which a
     Cholesky that succeeds fixes in closed form beforehand (qcore._Anchor).
     So a validated run on at least OVERLAP_MIN_DIM dimensions starts the step
@@ -256,11 +282,15 @@ def run(
     last or early-stop step, or one past the budget) and pauses it there;
     once the input's Cholesky passes, the calling thread resumes the same
     loop to its end, so it makes every canonical copy and every
-    factorization.  The worker allocates no state-sized array: glibc gives
+    factorization.  The channels, the gather tables and the state object
+    with its buffers are built on the calling thread before the worker
+    starts (the tables once, a rerun reuses them), so the worker allocates
+    no state-sized array: glibc gives
     each thread its own malloc arena, and state-sized blocks freed in the
     worker's arena would stay resident where the caller cannot reuse them.
     Errors come in the order of the other entry points: the warning for a
-    disconnected graph first, then the input's own error (a worker fault is
+    disconnected graph first, then the start's shape and the schedule's
+    order, then the input's own error (a worker fault is
     raised only once the input passes), then the errors of the loop.  The
     early-stop gossip target is computed only after the input's O(d^2)
     checks, so an input that fails them never pays for it.  If the input's
@@ -280,13 +310,20 @@ def run(
     if not is_connected(topology):
         warnings.warn("interaction graph is not connected; convergence is not guaranteed")
     rho = _as_state(rho0, m)
+    picks = _picks(schedule, topology, steps)
+
+    @functools.cache
+    def layout():  # after the input's checks, once
+        channels = build_channels(family, topology)
+        return channels, _layout(rho, m, channels, picks)
 
     def loop(debt, halt=None):  # a fresh state per loop, so a rerun starts from rho
         gap = None
         if early_stop:  # the gap is the record field minus its limit (see lyapunov_gap)
             gap = ("v_total", m) if family.kind == "ssc" else ("v_smc", 0.0) if family.kind == "smc" else (
                 "purity", purity(gossip_fixed_point(rho, m)))
-        return _steps(_Dense(rho, m), topology, family, schedule, steps, gap, debt, halt)
+        channels, state = layout()
+        return _steps(state(), channels, topology, family, picks, gap, debt, halt)
 
     if validate and len(rho) >= OVERLAP_MIN_DIM and _spare_core():
         steps_loop = _overlapped(loop, _Anchor(rho))
@@ -320,7 +357,66 @@ def _spare_core():
     return _BLAS_THREADS == 1 and _usable_cpus() >= 2
 
 
-class _Dense:
+def _layout(rho: np.ndarray, m: int, channels, picks):
+    """A callable giving run's fresh state for rho: _Sectors when rho has no coherence between excitation sectors and they pay, else _Dense.
+
+    Row 0 is read first, and B_0 holds only its first entry, so a start with
+    coherence there (a Haar-random one) pays O(d) for the check.  Otherwise
+    rho is zero-coherence exactly when its C(2m, m) sector entries hold all
+    its nonzero entries.  The gather tables are built here, for the channels
+    that `picks` uses, and shared by every state the callable gives.
+    """
+    used = [channels[i] for i in sorted(set(picks))]
+    if not rho[0, 1:].any() and _sectors_pay(len(rho), len(used), len(picks)):
+        positions = _readout(m, 1 << m).sectors
+        if np.count_nonzero(rho.reshape(-1)[positions]) == np.count_nonzero(rho):
+            kept, tables = _gather_tables(used, positions)
+            assert len(kept) == len(positions)  # the closure of the zero-coherence class is itself
+            tables = {ch.sites: table for ch, table in zip(used, tables)}
+            return lambda: _Sectors(rho.reshape(-1)[positions], m, tables)
+    return lambda: _Dense(rho, m)
+
+
+def _sectors_pay(d: int, tables: int, steps: int) -> bool:
+    """Whether a zero-coherence start on d dimensions runs faster on _Sectors, at a bounded cost in memory, for `tables` gather tables and `steps` steps.
+
+    Building a table costs more dense steps the smaller the state, and each
+    step that uses it saves most of a dense step, so a run needs at least
+    SECTOR_TABLE_WORK / d steps per table: 64 at m = 4, 16 at m = 6, 8 at
+    m = 7.  Measured on two cores with one BLAS thread (path, ring and
+    complete graphs, all three families, validated or not, from a basis
+    string), a sector run takes about 1.2 to 1.5 times as long as the dense one
+    at 4 steps per table at m = 4 and 5, 0.99 to 1.07 times at 16 steps at
+    m = 4, 0.56 to 0.71 at 16 steps at m = 6 and 0.57 to 0.84 at 8 steps at
+    m = 7.  A table holds K (2 or 3) intp indices and coefficients per
+    zero-coherence entry, 0.39 to 0.59 of a dense state's bytes at m = 8, so
+    from OVERLAP_MIN_DIM on the tables of any connected graph take more than
+    _Dense's two state buffers; below it the largest, m = 7's complete graph
+    under smc, take 3.5 MB.
+    """
+    return d < OVERLAP_MIN_DIM and steps * d >= SECTOR_TABLE_WORK * tables
+
+
+class _State:
+    """What run's two state layouts share: the record, read from the layout's flat entries x through its _Readout table."""
+
+    def norm(self) -> float:
+        """||rho||_F, the square root of the purity: the entries a layout leaves out are 0."""
+        return math.sqrt(purity(self.x))
+
+    def record(self, t: int, debt: float | None) -> TrajectoryRecord:
+        """The diagnostics after step t, with psd_debt = debt; the trace is checked when debt is set."""
+        flat = self.x.reshape(-1)
+        diag = flat[self.table.diag]
+        if debt is not None:
+            check_trace(diag)
+        pops = tuple(_sector_sums(flat, self.table).tolist())
+        smc_pop = float(flat[0].real + flat[-1].real)  # |0..0> and |1..1> stay first and last in both layouts
+        s_exp = float(np.dot(self.table.s_weights, diag.real))
+        return TrajectoryRecord(t, purity(flat), s_exp, len(pops) - sum(pops), 1.0 - smc_pop, pops, smc_pop, debt)
+
+
+class _Dense(_State):
     """run's state: rho as a (2,)*2m tensor in the pair kernel's carried layout (qcore._pair_step).
 
     The layout is a site relabeling of rho with the last step's pair first,
@@ -342,17 +438,6 @@ class _Dense:
         self.x, self.layout = _pair_step(self.x, self.layout, channel, channel.superop, self.front, self.out)
         self.copy = None
 
-    def record(self, t: int, debt: float | None) -> TrajectoryRecord:
-        """The diagnostics after step t, with psd_debt = debt; the trace is checked when debt is set."""
-        flat = self.x.reshape(-1)
-        diag = flat[self.table.diag]
-        if debt is not None:
-            check_trace(diag)
-        pops = tuple(_sector_sums(flat, self.table).tolist())
-        smc_pop = float(flat[0].real + flat[-1].real)  # |0..0> and |1..1> keep their places in every layout
-        s_exp = float(np.dot(self.table.s_weights, diag.real))
-        return TrajectoryRecord(t, purity(flat), s_exp, len(pops) - sum(pops), 1.0 - smc_pop, pops, smc_pop, debt)
-
     def anchor(self) -> float:
         """validate_density_matrix of a canonical copy of the state: its debt, or ValueError."""
         self.copy = _canonical(self.x, self.layout, self.front)
@@ -363,8 +448,43 @@ class _Dense:
         return self.copy if self.copy is not None else _canonical(self.x, self.layout, self.front)
 
 
-def _steps(dense, topology, family, schedule, steps, gap, debt, halt=None):
-    """run's step loop on a fresh _Dense, as a generator that anchors every state where an anchor is due.
+class _Sectors(_State):
+    """run's state for a start without coherence between excitation sectors: v, its C(2m, m) entries with |r| = |c|.
+
+    Every gossip, ssc and smc Kraus operator shifts an entry's row and column
+    excitation counts by the same amount, so these entries (the blocks B_k
+    on the k-excitation strings) are closed under every step and the others
+    stay exactly 0.  v holds the blocks in symmetry._readout's sector order,
+    B_0..B_m, each row-major, so the P_smc corners are v[0] and v[-1].  A
+    step is one gather (qcore._gather_step) with the channel's
+    qcore._gather_tables table, from `tables` (keyed by sites), between two
+    vectors and through one (K, N) buffer; the record reads v through
+    symmetry._sector_readout.  An anchor and the final state scatter v into
+    a zeroed dense matrix.  The buffers and that matrix are allocated here,
+    on the thread that builds the object.
+    """
+
+    def __init__(self, v: np.ndarray, m: int, tables):
+        self.positions, self.table, self.tables = _readout(m, 1 << m).sectors, _sector_readout(m), tables
+        self.x, self.out = v, np.empty_like(v)
+        self.buf = np.empty((max(len(idx) for idx, _ in tables.values()), len(v)), v.dtype)
+        self.dense = np.zeros((1 << m, 1 << m), complex)
+
+    def step(self, channel):
+        self.x, self.out = _gather_step(self.x, self.tables[channel.sites], self.buf, self.out), self.x
+
+    def anchor(self) -> float:
+        """validate_density_matrix of the dense state: its debt, or ValueError."""
+        return validate_density_matrix(self.final())
+
+    def final(self) -> np.ndarray:
+        """The state as a dense matrix: v scattered into the zeroed one, whose other entries stay 0."""
+        self.dense.reshape(-1)[self.positions] = self.x
+        return self.dense
+
+
+def _steps(state, channels, topology, family, picks, gap, debt, halt=None):
+    """run's step loop on a fresh _Dense or _Sectors, stepping channels[i] for each i in picks, as a generator that anchors every state where an anchor is due.
 
     gap is the early-stop (record field, limit) or None, and debt None for a
     run without validation.  Returns (records, final state) through
@@ -373,27 +493,25 @@ def _steps(dense, topology, family, schedule, steps, gap, debt, halt=None):
     anchor, and then drops `halt`; whoever resumes it makes every anchor.  An
     anchor that fails is raised with the run's step, edge and anchor context.
     """
-    channels = build_channels(family, topology)
-    picks = _picks(schedule, topology, steps)
     if debt is not None:
         step_bounds = [apply_error_bound(ch) for ch in channels]
-        norm_f = math.sqrt(purity(dense.x))
+        norm_f = state.norm()
     records: list[TrajectoryRecord] = []
     quiet = anchored = 0
     for t, idx in enumerate(picks, 1):
         if halt is not None and halt.is_set():
             return None
-        dense.step(channels[idx])
+        state.step(channels[idx])
         try:
-            rec = dense.record(t, None if debt is None else debt + step_bounds[idx] * norm_f)
+            rec = state.record(t, None if debt is None else debt + step_bounds[idx] * norm_f)
             if gap is not None:
                 quiet = quiet + 1 if getattr(rec, gap[0]) - gap[1] < EARLY_STOP_THRESHOLD else 0
             stop = quiet >= 2 * topology.m
-            if debt is not None and (rec.psd_debt > PSD_DEBT_BUDGET or stop or t == steps):
+            if debt is not None and (rec.psd_debt > PSD_DEBT_BUDGET or stop or t == len(picks)):
                 if halt is not None:
                     yield
                     halt = None
-                rec = replace(rec, psd_debt=dense.anchor())
+                rec = replace(rec, psd_debt=state.anchor())
                 anchored = t
         except ValueError as exc:
             raise ValueError(
@@ -404,7 +522,7 @@ def _steps(dense, topology, family, schedule, steps, gap, debt, halt=None):
         records.append(rec)
         if stop:
             break
-    return records, dense.final()
+    return records, state.final()
 
 
 def _overlapped(loop, anchor):
@@ -488,6 +606,7 @@ def convergence_probability(
         gossip_target, steps = gossip_fixed_point(rho0, m), [(ch, ch.superop) for ch in channels]
     else:
         kept, tables, w = _gap_gather(family, channels, m)
+        buf, out = np.empty((max(len(idx) for idx, _ in tables), len(kept))), np.empty(len(kept))
     hits = 0
     for child in np.random.SeedSequence(seed).spawn(trials):
         picks = _random_picks(topology, int(child.generate_state(1)[0]), horizon)
@@ -496,19 +615,28 @@ def convergence_probability(
         else:
             v = rho0.real.reshape(-1)[kept]
             for i in picks:
-                idx, coef = tables[i]
-                v = np.add.reduce(coef * v[idx])
+                v, out = _gather_step(v, tables[i], buf, out), v
             gap = 1.0 - w @ v
         hits += gap < gamma
     return hits / trials
 
 
 def _gap_gather(family: ChannelFamily, channels, m: int):
-    """qcore._gather_tables on the entries the ssc or smc gap reads: (kept, tables, w), gap = 1 - w @ rho.flat[kept]."""
-    if family.kind == "smc":  # the P_smc corners, each of weight 1
-        return _gather_tables(channels, np.array([0, (1 << (2 * m)) - 1]), np.ones(2))
-    table = _readout(m, 1 << m)  # the Dicke-sector entries, of weight 1 / C(m, k)
-    return _gather_tables(channels, table.sectors, np.repeat(table.scale, np.diff(table.starts, append=len(table.sectors))))
+    """qcore._gather_tables on the entries the ssc or smc gap reads, ascending: (kept, tables, w), gap = 1 - w @ rho.flat[kept].
+
+    Both entry sets are closed, so kept is the reads: the Dicke-sector
+    entries for ssc, of weight 1 / C(m, k), and the populations for smc,
+    where the P_smc corners weigh 1.
+    """
+    d = 1 << m
+    if family.kind == "smc":
+        reads, w = np.arange(d) * (d + 1), np.zeros(d)
+        w[[0, -1]] = 1.0
+    else:
+        table = _readout(m, d)
+        order = np.argsort(table.sectors)
+        reads, w = table.sectors[order], np.repeat(table.scale, np.diff(table.starts, append=len(order)))[order]
+    return *_gather_tables(channels, reads), w
 
 
 def _populations(rho: np.ndarray) -> np.ndarray:

@@ -187,6 +187,18 @@ def _readout(m: int, block: int) -> _Readout:
     return table
 
 
+@cache
+def _sector_readout(m: int) -> _Readout:
+    """_readout's table for v = rho.flat[_readout(m, 2^m).sectors], the zero-coherence entries in sector order: positions into v."""
+    table = _readout(m, 1 << m)
+    order = np.argsort(table.sectors)
+    diag = order[np.searchsorted(table.sectors, table.diag, sorter=order)]
+    sectors = np.arange(len(table.sectors))
+    for a in (diag, sectors):
+        a.setflags(write=False)
+    return table._replace(diag=diag, sectors=sectors)
+
+
 def _sector_sums(flat: np.ndarray, table: _Readout) -> np.ndarray:
     """Dicke populations <(m,k)| rho |(m,k)>, k = 0..m, of the flat matrix the table reads."""
     return np.add.reduceat(np.real(flat)[table.sectors], table.starts) * table.scale

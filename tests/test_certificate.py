@@ -33,6 +33,7 @@ from qconsensus.qcore import (
     validate_density_matrix,
 )
 from qconsensus.simulator import PSD_DEBT_BUDGET, Schedule, random_density, run
+from qconsensus.symmetry import _readout
 
 FAMILIES = {"gossip": ChannelFamily.gossip(0.3), "ssc": ChannelFamily.ssc(), "smc": ChannelFamily.smc()}
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
@@ -52,8 +53,15 @@ def start_state(kind, m, seed):
     return ket_to_density(bitstring_ket("".join(rng.choice(["0", "1"], size=m))))
 
 
+def sector_matrix(v, m):
+    """The dense matrix whose zero-coherence entries, in sector order, are v and whose other entries are 0."""
+    rho = np.zeros((1 << m, 1 << m), dtype=v.dtype)
+    rho.reshape(-1)[_readout(m, 1 << m).sectors] = v
+    return rho
+
+
 def steps_and_records(monkeypatch, *args, **kwargs):
-    """run(*args) plus (channel, state after the step) for every step it makes."""
+    """run(*args) plus (channel, state after the step) for every step it makes, on either state layout."""
     steps = []
 
     def recording_step(x, layout, channel, superop, *buffers):
@@ -62,7 +70,13 @@ def steps_and_records(monkeypatch, *args, **kwargs):
         steps.append((channel, np.array(out.transpose(out_layout).reshape(channel.dim, channel.dim))))
         return out, out_layout
 
+    def recording_sector_step(state, channel):
+        sector_step(state, channel)
+        steps.append((channel, sector_matrix(state.x, channel.m)))
+
+    sector_step = simulator._Sectors.step
     monkeypatch.setattr(simulator, "_pair_step", recording_step)
+    monkeypatch.setattr(simulator._Sectors, "step", recording_sector_step)
     result = run(*args, **kwargs)
     return steps, result
 

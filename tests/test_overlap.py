@@ -36,17 +36,21 @@ def inline(monkeypatch):
     monkeypatch.setattr(simulator, "OVERLAP_MIN_DIM", 2 * (1 << M))
 
 
-def step_threads(monkeypatch, on_step=None, step=_pair_step):
-    """Record the thread of every pair step `run` makes, through `step`; on_step(n) runs before step n (1-based)."""
+def step_threads(monkeypatch, on_step=None, steps=(_pair_step, simulator._Sectors.step)):
+    """Record the thread of every step `run` makes, through the (pair step, sector step) `steps`; on_step(n) runs before step n (1-based)."""
     threads = []
 
-    def spying_step(*args):
-        if on_step is not None:
-            on_step(len(threads) + 1)
-        threads.append(threading.get_ident())
-        return step(*args)
+    def spy(step):
+        def spying_step(*args):
+            if on_step is not None:
+                on_step(len(threads) + 1)
+            threads.append(threading.get_ident())
+            return step(*args)
 
-    monkeypatch.setattr(simulator, "_pair_step", spying_step)
+        return spying_step
+
+    monkeypatch.setattr(simulator, "_pair_step", spy(steps[0]))
+    monkeypatch.setattr(simulator._Sectors, "step", spy(steps[1]))
     return threads
 
 
@@ -68,13 +72,19 @@ def basis_zero():
 
 
 def leaky(scale, sites=(2, 3)):
-    """A pair step that scales its output (a trace fault) on one edge."""
+    """A pair step and a sector step that scale their output (a trace fault) on one edge."""
 
     def leaky_step(x, layout, channel, superop, *buffers):
         out, out_layout = _pair_step(x, layout, channel, superop, *buffers)
         return (out * scale if channel.sites == sites else out), out_layout
 
-    return leaky_step
+    def leaky_sector_step(state, channel):
+        sector_step(state, channel)
+        if channel.sites == sites:
+            state.x *= scale
+
+    sector_step = simulator._Sectors.step
+    return leaky_step, leaky_sector_step
 
 
 @pytest.mark.parametrize("early_stop", [False, True], ids=["full", "early-stop"])
@@ -179,7 +189,7 @@ def test_trace_fault_on_the_worker_keeps_its_step_edge_and_anchor_context(monkey
     for path in ("threaded", "inline"):
         if path == "inline":
             inline(monkeypatch)
-        threads = step_threads(monkeypatch, step=leaky(1 + 2e-9))
+        threads = step_threads(monkeypatch, steps=leaky(1 + 2e-9))
         before = threading.active_count()
         with pytest.raises(ValueError, match=expected) as err:
             run(random_density(6, 1 << M), RING, ChannelFamily.smc(), Schedule.cyclic(), 5)
@@ -240,7 +250,7 @@ def test_an_invalid_input_outranks_a_fault_on_the_worker(monkeypatch):
     rho = spectrum_state(-2 * PSD_ATOL)
     monkeypatch.setattr(simulator, "check_trace", recording_check_trace)
     monkeypatch.setattr(qcore._Anchor, "cholesky", late_cholesky)
-    threads = step_threads(monkeypatch, step=leaky(1 + 2e-9, sites=(1, 2)))
+    threads = step_threads(monkeypatch, steps=leaky(1 + 2e-9, sites=(1, 2)))
     before = threading.active_count()
     with pytest.raises(ValueError) as err:
         run(rho, RING, ChannelFamily.ssc(), Schedule.cyclic(), 5)

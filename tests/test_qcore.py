@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qconsensus.dynamics import gossip_channel, smc_channel, ssc_channel
+from qconsensus.dynamics import gossip_channel, smc_channel, smc_neighborhood_channel, ssc_channel
 from qconsensus.qcore import (
     I2,
     PSD_ATOL,
@@ -335,3 +335,19 @@ def test_load_matrix_rejects_bad_payload(tmp_path):
 
 def test_completeness_residual_identity():
     assert completeness_residual([I2]) == 0.0
+
+
+@pytest.mark.parametrize(
+    "channel",
+    [gossip_channel((1, 2), 2, a) for a in (0.3, 0.5, 0.999, 0.7123456789)]
+    + [ssc_channel((1, 2), 2), smc_channel((1, 2), 2), smc_neighborhood_channel(3)],
+    ids=["gossip-0.3", "gossip-0.5", "gossip-0.999", "gossip-0.7123456789", "ssc", "smc", "smc3"],
+)
+def test_broadcast_superoperator_and_completeness_are_bit_identical_to_the_kron_sums(channel):
+    # KrausChannel forms both with one broadcast product over the operator stack.
+    ops = channel.kraus_ops
+    superop = sum(np.kron(a, a.conj()) for a in ops)
+    assert channel.superop.dtype == np.float64 and not superop.imag.any()
+    assert channel.superop.tobytes() == np.ascontiguousarray(superop.real).tobytes()
+    acc = sum(a.conj().T @ a for a in ops)
+    assert completeness_residual(ops) == float(np.max(np.abs(acc - np.eye(len(acc)))))

@@ -619,7 +619,7 @@ def test_a_channel_that_mixes_excitation_counts_grows_the_trial_entry_set(m):
     kraus = [hh @ a @ hh for a in ssc_pair_channel().kraus_ops]
     channels = [KrausChannel(kraus, sites=edge, m=m) for edge in _kernel_graphs(m)["ring-chord"]]
     reads = _readout(m, 1 << m).sectors
-    kept, tables, _ = _gather_tables(channels, reads, np.ones(len(reads)))
+    kept, tables = _gather_tables(channels, reads)
     assert len(kept) > comb(2 * m, m) and np.isin(reads, kept).all()
     x = random_density(90 + m, 1 << m).real
     picks = np.random.default_rng(m).integers(len(channels), size=25)
