@@ -5,8 +5,9 @@
 Imports `qconsensus` from `--src` (default: `src/` of this checkout), so the
 same script measures any checkout of the package that has the buffered pair
 kernel (`qcore._pair_step` and `qcore._apply_pairs`), the two-part anchor
-(`qcore._Anchor`), the reduced Monte-Carlo trial
-(`simulator._gap_gather` over `qcore._gather_tables`), the carried-layout
+(`qcore._Anchor`), the reduced Monte-Carlo trial (`simulator._trial_gaps`,
+`simulator._gap_gather` and `simulator._transpose_fold` over
+`qcore._gather_tables`), the carried-layout
 state object (`simulator._Dense`), the zero-coherence state object
 (`simulator._Sectors`, built by `simulator._layout`) and
 `dynamics.certify_family`.
@@ -29,17 +30,23 @@ For every m in `--sizes` and every family it times, on the pair
   m-site path graph from the seeded state (CONVERGENCE_TRIALS trials of
   CONVERGENCE_HORIZON steps, gamma CONVERGENCE_GAMMA), for m <= 8 only;
 * trial_step_s: one step of a `convergence_probability` trial on the m-site
-  path graph, the time of one CONVERGENCE_HORIZON-step trial divided by its
-  steps.  A gossip trial is the pair kernel `qcore._apply_pairs` on the
-  complex state (for m <= 8 only), so the time holds a
-  1/CONVERGENCE_HORIZON share of the trial's final return to canonical
-  order; trial_matmul_s times its matmul alone (16x16 superoperator times
-  the float64 (16, d^2/16) view), which splits the step into its transposed
-  copy and its product.  An ssc or smc trial (for m <= 10) is one gather,
-  np.add.reduce(coef * v[idx]), on the trial_entries entries of Re(rho) that
-  its gap reads and that every channel keeps closed (C(2m, m) for ssc, 2^m
-  for smc), and trial_tables_s times building those gather tables
-  (`simulator._gap_gather`), which every `convergence_probability` call does once.
+  path graph, timed on the trial helper itself (`simulator._trial_gaps`): the
+  difference of the median times of TRIAL_BASE and TRIAL_BASE + TRIAL_EXTRA
+  seeded CONVERGENCE_HORIZON-step trials, divided by TRIAL_EXTRA *
+  CONVERGENCE_HORIZON, so the channel and table builds cancel.  A gossip
+  trial is the pair kernel `qcore._apply_pairs` on the complex state (for
+  m <= 8 only), so the time holds a 1/CONVERGENCE_HORIZON share of the
+  trial's final return to canonical order and its gap; trial_matmul_s times
+  its matmul alone (16x16 superoperator times the float64 (16, d^2/16)
+  view), which splits the step into its transposed copy and its product.
+  An ssc or smc trial (for m <= 10) is one gather (`qcore._gather_step`) on
+  Re(rho) restricted to the trial_set_entries entries its gap reads and
+  every channel keeps closed (C(2m, m) for ssc, 2^m for smc), folded to one
+  entry per transposed pair: it evolves trial_entries of them
+  ((C(2m, m) + 2^m) / 2 for ssc, 2^m for smc).  trial_tables_s times
+  building those gather tables and folding them (`simulator._gap_gather`
+  and `simulator._transpose_fold`), which every `convergence_probability`
+  call does once.
 * run_step_s: one anchor-free step of a validated `simulator.run` on the
   m-site path graph, for m <= 10 only: the pair-kernel step in the carried
   layout, the record and the trace check.  It is the difference of the
@@ -103,6 +110,7 @@ ROOT = Path(__file__).resolve().parent.parent
 FAMILIES = ("gossip", "ssc", "smc")
 CONVERGENCE_TRIALS, CONVERGENCE_HORIZON, CONVERGENCE_GAMMA = 20, 100, 0.05
 RUN_BASE_STEPS, RUN_EXTRA_STEPS = 17, 32
+TRIAL_BASE, TRIAL_EXTRA = 1, 4
 VALIDATED_RUN_STEPS = 8
 SECTOR_RUN_STEPS = (20, 200)
 
@@ -140,35 +148,27 @@ def verify_fn(kind: str, m: int):
 
 
 def trial_split(family, topology, rho: np.ndarray, repeats: int) -> dict:
-    """Per-step time of one seeded trial as `convergence_probability` runs it, and its split (see the module docstring)."""
+    """Per-step time of `convergence_probability`'s trials (`simulator._trial_gaps`), and its split (see the module docstring)."""
     from qconsensus.dynamics import build_channels
-    from qconsensus.qcore import _apply_pairs
-    from qconsensus.simulator import _gap_gather
+    from qconsensus.simulator import _gap_gather, _transpose_fold, _trial_gaps
 
+    m = topology.m
+    times = [
+        median_time(lambda: _trial_gaps(rho, topology, family, CONVERGENCE_HORIZON, trials, 0), repeats)
+        for trials in (TRIAL_BASE, TRIAL_BASE + TRIAL_EXTRA)
+    ]
+    out = {"trial_step_s": (times[1] - times[0]) / (TRIAL_EXTRA * CONVERGENCE_HORIZON)}
     channels = build_channels(family, topology)
-    picks = np.random.default_rng(0).integers(len(channels), size=CONVERGENCE_HORIZON)
     if family.kind != "gossip":
-        kept, tables, _ = _gap_gather(family, channels, topology.m)
-        v0 = rho.real.reshape(-1)[kept]
-
-        def gather_trial():
-            v = v0
-            for i in picks:
-                idx, coef = tables[i]
-                v = np.add.reduce(coef * v[idx])
-
-        return {
-            "trial_step_s": median_time(gather_trial, repeats) / len(picks),
-            "trial_entries": len(kept),
-            "trial_tables_s": median_time(lambda: _gap_gather(family, channels, topology.m), repeats),
+        kept, tables, _ = _gap_gather(family, channels, m)
+        return out | {
+            "trial_entries": _transpose_fold(kept, tables, 1 << m)[0].shape[1],
+            "trial_set_entries": len(kept),
+            "trial_tables_s": median_time(lambda: _transpose_fold(*_gap_gather(family, channels, m)[:2], 1 << m), repeats),
         }
-    trial = [(channels[i], channels[i].superop) for i in picks]
     front = np.ascontiguousarray(rho.reshape(16, -1)).view(np.float64)
     superop = channels[0].superop
-    return {
-        "trial_step_s": median_time(lambda: _apply_pairs(rho, trial), repeats) / len(trial),
-        "trial_matmul_s": median_time(lambda: superop @ front, repeats),
-    }
+    return out | {"trial_matmul_s": median_time(lambda: superop @ front, repeats)}
 
 
 def run_step_time(family, topology, rho: np.ndarray, repeats: int) -> float:

@@ -402,12 +402,16 @@ def _gather_step(v: np.ndarray, table, buf: np.ndarray, out: np.ndarray) -> np.n
     """One gather step, out = np.add.reduce(coef * v[idx]) with (idx, coef) = table, in the caller's buffers.
 
     buf is a C-contiguous array of v's dtype with at least K rows of len(v)
-    entries, and out one of v's size, so a step allocates no array.  Returns out.
+    entries, and out one of v's size, so a step allocates no array.  Reducing
+    two rows is exactly terms[0] + terms[1], which one np.add makes faster.
+    Returns out.
     """
     idx, coef = table
     terms = buf[: len(idx)]
     v.take(idx, out=terms, mode="clip")  # in range; the default mode copies through a temporary
     np.multiply(coef, terms, out=terms)
+    if len(terms) == 2:
+        return np.add(terms[0], terms[1], out=out)
     return np.add.reduce(terms, axis=0, out=out)
 
 

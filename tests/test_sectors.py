@@ -297,6 +297,19 @@ def test_gather_tables_equal_the_mask_closure_and_keep_the_trials_bit_identical(
             assert gaps[0] == gaps[1] == gaps[2]
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("k", [2, 3])
+def test_a_gather_step_equals_the_reduce_of_its_products_bit_for_bit(k, dtype):
+    rng, n = np.random.default_rng(k), 924
+    v = rng.standard_normal(n).astype(dtype)
+    if dtype is complex:
+        v += 1j * rng.standard_normal(n)
+    table = rng.integers(n, size=(k, n)).astype(np.intp), rng.standard_normal((k, n))
+    buf, out = np.empty((3, n), dtype), np.empty(n, dtype)
+    assert _gather_step(v, table, buf, out) is out
+    assert out.tobytes() == np.add.reduce(table[1] * v[table[0]]).tobytes()
+
+
 @pytest.mark.parametrize("m", [4, 6])
 def test_a_run_takes_the_sector_layout_only_with_enough_steps_per_table(layouts, m):
     # A ring needs m tables; 20 steps make 3 to 5 per table, 200 make 33 to

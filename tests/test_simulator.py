@@ -501,6 +501,21 @@ def test_trajectory_csv_shape(tmp_path):
     assert path.read_text().splitlines() == lines
 
 
+def test_trajectory_csv_rows_format_each_value_as_format_does():
+    values = [-0.0, 1e-300, 1 / 3, 1e17, float("inf"), float("nan")]
+    m = 2
+    rows = [
+        simulator.TrajectoryRecord(t, *values[t:t + 4], tuple(values[:m + 1]), values[-1 - t], None)
+        for t in range(len(values) - 3)
+    ]
+    lines = trajectory_csv_lines(rows, m)
+    for rec, line in zip(rows, lines[1:]):
+        fields = (rec.purity, rec.s_expectation, rec.v_total, rec.v_smc, rec.smc_population) + rec.dicke_populations
+        assert line == ",".join([str(rec.step)] + [format(x, ".12g") for x in fields])
+    with pytest.raises(ValueError, match="population count"):
+        trajectory_csv_lines(rows, m + 1)
+
+
 def test_convergence_probability_rejects_disconnected_topology():
     top = NetworkTopology(m=4, neighborhoods=((1, 2), (3, 4)))
     with pytest.raises(ValueError, match="connected"):
@@ -606,6 +621,54 @@ def test_trial_entry_sets_are_the_zero_coherence_blocks_and_the_populations(m, g
     assert np.array_equal(smc[0], np.flatnonzero(rows == cols)) and len(smc[0]) == d
     assert {idx.shape for idx, _ in ssc[1]} == {(2, len(ssc[0]))}
     assert {idx.shape for idx, _ in smc[1]} == {(3, d)}
+
+
+def _full_trial_gaps(rho0, topology, family, horizon, trials, seed):
+    """Every trial's gap on _gap_gather's full tables, one representative per entry, with the trials' picks."""
+    kept, tables, w = simulator._gap_gather(family, build_channels(family, topology), topology.m)
+    gaps = []
+    for child in np.random.SeedSequence(seed).spawn(trials):
+        picks = simulator._random_picks(topology, int(child.generate_state(1)[0]), horizon)
+        gaps.append(float(1.0 - w @ _gather_trial(rho0.real.reshape(-1)[kept], tables, picks)))
+    return gaps
+
+
+@pytest.mark.parametrize("graph", ["path", "ring-chord", "complete", "weighted"])
+@pytest.mark.parametrize("m", range(2, 8))
+@pytest.mark.parametrize("family", [ChannelFamily.ssc(), ChannelFamily.smc()], ids=["ssc", "smc"])
+def test_trials_on_one_entry_per_transposed_pair_give_the_full_trials_gaps_bit_for_bit(family, m, graph):
+    # The channels commute with transposition, so a symmetric Re(rho) stays
+    # symmetric and an output and its partner sum the same products.
+    topology, d = _kernel_topology(m, graph), 1 << m
+    rho0 = random_density(70 + m, d)
+    horizon, trials, seed = 30, 6, 99
+    gaps = simulator._trial_gaps(rho0, topology, family, horizon, trials, seed)
+    want = _full_trial_gaps(rho0, topology, family, horizon, trials, seed)
+    assert [g.hex() for g in gaps.tolist()] == [g.hex() for g in want]
+    for gamma in want:  # each gap as the threshold: the trials strictly below it hit
+        hits = sum(g < gamma for g in want)
+        assert convergence_probability(rho0, topology, family, gamma, horizon, trials, seed) == hits / trials
+    kept, tables, _ = simulator._gap_gather(family, build_channels(family, topology), m)
+    pairs, whole, half = simulator._transpose_fold(kept, tables, d)
+    assert pairs.shape == (2, (comb(2 * m, m) + d) // 2 if family.kind == "ssc" else d)
+    assert np.array_equal(pairs[1], pairs[0] % d * d + pairs[0] // d) and np.array_equal(pairs[0][whole], np.minimum(kept, kept % d * d + kept // d))
+    for (idx, coef), (full_idx, full_coef) in zip(half, tables):
+        assert idx.dtype == np.intp and idx.flags.c_contiguous and coef.flags.c_contiguous
+        assert idx.shape == coef.shape == (len(full_idx), pairs.shape[1])
+
+
+@pytest.mark.parametrize("m", [3, 5, 6])
+@pytest.mark.parametrize("family", [ChannelFamily.ssc(), ChannelFamily.smc()], ids=["ssc", "smc"])
+def test_trial_gaps_drop_an_antisymmetric_part_within_the_hermiticity_tolerance(family, m):
+    # The gap weights are symmetric, so the full trial's gap cancels an
+    # antisymmetric part of Re(rho0) too; the folded trial starts without it.
+    topology, d = _kernel_topology(m, "ring-chord"), 1 << m
+    a = np.random.default_rng(m).uniform(-1, 1, (d, d))
+    rho0 = random_density(80 + m, d) + 0.5e-11 * (a - a.T)
+    validate_density_matrix(rho0)
+    assert np.max(np.abs(rho0.real - rho0.real.T)) > 1e-12
+    gaps = simulator._trial_gaps(rho0, topology, family, 30, 6, 4)
+    assert np.max(np.abs(gaps - _full_trial_gaps(rho0, topology, family, 30, 6, 4))) <= 1e-14
 
 
 @pytest.mark.parametrize("m", range(4, 7))
