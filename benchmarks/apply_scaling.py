@@ -34,11 +34,12 @@ For every m in `--sizes` and every family it times, on the pair
   difference of the median times of TRIAL_BASE and TRIAL_BASE + TRIAL_EXTRA
   seeded CONVERGENCE_HORIZON-step trials, divided by TRIAL_EXTRA *
   CONVERGENCE_HORIZON, so the channel and table builds cancel.  A gossip
-  trial is the pair kernel `qcore._apply_pairs` on the complex state (for
-  m <= 8 only), so the time holds a 1/CONVERGENCE_HORIZON share of the
+  trial is the pair kernel `qcore._apply_pairs` on the real matrix
+  X = Re rho + Im rho that `simulator.run` carries (`simulator._real_form`;
+  for m <= 8 only), so the time holds a 1/CONVERGENCE_HORIZON share of the
   trial's final return to canonical order and its gap; trial_matmul_s times
-  its matmul alone (16x16 superoperator times the float64 (16, d^2/16)
-  view), which splits the step into its transposed copy and its product.
+  its matmul alone (16x16 superoperator times X as a float64 (16, d^2/16)
+  array), which splits the step into its transposed copy and its product.
   An ssc or smc trial (for m <= 10) is one gather (`qcore._gather_step`) on
   Re(rho) restricted to the trial_set_entries entries its gap reads and
   every channel keeps closed (C(2m, m) for ssc, 2^m for smc), folded to one
@@ -75,9 +76,11 @@ For every m in `--sizes` and every family it times, on the pair
 
 Each per-m row also holds two family-independent times on the seeded state:
 
-* record_s: what every trajectory step records, `simulator._Dense.record`
-  on a state stepped once, so in the carried layout (the diagonal take, the
-  Dicke sector sums, purity, S and the P_smc corners; no trace check);
+* record_s: what every trajectory step records, the `record` of the state
+  that `simulator._layout` builds for the seeded state, as `run` does (a
+  `simulator._Dense`), stepped once, so in the carried layout (the diagonal
+  take, the Dicke sector sums, purity, S and the P_smc corners; no trace
+  check);
 * fixed_point_s: one `symmetry.gossip_fixed_point`, for m <= 8 only.
 
 Each is the median of several repeats.  With `--run-m M` it also runs
@@ -166,7 +169,7 @@ def trial_split(family, topology, rho: np.ndarray, repeats: int) -> dict:
             "trial_set_entries": len(kept),
             "trial_tables_s": median_time(lambda: _transpose_fold(*_gap_gather(family, channels, m)[:2], 1 << m), repeats),
         }
-    front = np.ascontiguousarray(rho.reshape(16, -1)).view(np.float64)
+    front = np.ascontiguousarray(rho.real).reshape(16, -1)
     superop = channels[0].superop
     return out | {"trial_matmul_s": median_time(lambda: superop @ front, repeats)}
 
@@ -212,12 +215,13 @@ def sector_split(family, topology, repeats: int) -> dict:
 
 
 def record_fn(m: int, rho: np.ndarray):
-    """The per-step record of a run on rho's image under one pair step."""
+    """The per-step record of a run on rho's image under one pair step, on the state `run` builds."""
+    from qconsensus import simulator
     from qconsensus.dynamics import ChannelFamily, neighborhood_channel
-    from qconsensus.simulator import _Dense
 
-    state = _Dense(rho, m)
-    state.step(neighborhood_channel(ChannelFamily.ssc(), (m // 2, m // 2 + 1), m))
+    channel = neighborhood_channel(ChannelFamily.ssc(), (m // 2, m // 2 + 1), m)
+    state = simulator._layout(rho, m, [channel], [0])()
+    state.step(channel)
     return lambda: state.record(1, None)
 
 

@@ -136,8 +136,7 @@ def validate_density_matrix(rho: np.ndarray) -> float:
     `run` on a large state uses the debt of the first while the second is
     still running.
     """
-    anchor = _Anchor(rho)
-    return anchor.debt if anchor.cholesky() else anchor.eigvalsh_debt()
+    return _Anchor(rho).verdict()
 
 
 class _Anchor:
@@ -149,34 +148,45 @@ class _Anchor:
     factorization of it certifies.  cholesky() runs that O(d^3)
     factorization and says whether it succeeded; if it did not,
     eigvalsh_debt() decides, raising when rho is not positive semidefinite
-    and otherwise returning the debt that replaces `debt`.
+    and otherwise returning the debt that replaces `debt`.  verdict() is
+    the two in sequence.  `hermitian` says whether rho equals rho^H entry for
+    entry (to the underflow of the squared residual below about 1e-162).  A
+    caller that builds rho exactly Hermitian passes hermitian=True, which
+    skips the Hermiticity check: the shifted copy is rho + cI, and
+    ||rho - H||_F = 0.
     """
 
-    def __init__(self, rho: np.ndarray):
+    def __init__(self, rho: np.ndarray, hermitian: bool = False):
         rho = np.asarray(rho, dtype=complex)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-        # rho - rho^H in one C-ordered buffer, conj(rho.T) written into it and
-        # then subtracted from rho in place: one state-sized temporary fewer
-        # than rho - rho.conj().T, and the same bits.
-        skew = np.conjugate(rho.T, out=np.empty(rho.shape, complex))
-        np.subtract(rho, skew, out=skew)
-        skew_norm = np.sqrt(np.vdot(skew, skew).real)
-        # The max-abs residual is at most the Frobenius norm, so the entrywise
-        # scan runs only when the norm alone cannot pass the state.  Each check
-        # is written to pass only a number within tolerance, so NaN fails.
-        if not skew_norm <= HERMITICITY_ATOL and not (herm := float(np.max(np.abs(skew)))) <= HERMITICITY_ATOL:
-            raise ValueError(f"not Hermitian: residual {herm:.3e} > {HERMITICITY_ATOL:.1e}")
+        if hermitian:
+            skew_norm, shifted = 0.0, rho.copy()
+        else:
+            # rho - rho^H in one C-ordered buffer, conj(rho.T) written into it
+            # and then subtracted from rho in place: one state-sized temporary
+            # fewer than rho - rho.conj().T, and the same bits.
+            skew = np.conjugate(rho.T, out=np.empty(rho.shape, complex))
+            np.subtract(rho, skew, out=skew)
+            skew_norm = np.sqrt(np.vdot(skew, skew).real)
+            # The max-abs residual is at most the Frobenius norm, so the
+            # entrywise scan runs only when the norm alone cannot pass the
+            # state.  Each check is written to pass only a number within
+            # tolerance, so NaN fails.
+            if not skew_norm <= HERMITICITY_ATOL and not (herm := float(np.max(np.abs(skew)))) <= HERMITICITY_ATOL:
+                raise ValueError(f"not Hermitian: residual {herm:.3e} > {HERMITICITY_ATOL:.1e}")
+            # The one shifted copy: H + cI = rho - skew/2 + cI, formed in place.
+            skew *= -0.5
+            skew += rho
+            shifted = skew
+        self.hermitian = skew_norm == 0.0
         check_trace(rho)
         d = len(rho)
         self.shift = PSD_ATOL / (4 * d)
         self.floor = np.sqrt(d) * (_gamma(d + 2) * (1 + d * self.shift) + 0.5 * skew_norm)
         self.debt = float(d * self.shift + self.floor)
-        # The one shifted copy: H + cI = rho - skew/2 + cI, formed in place.
-        skew *= -0.5
-        skew += rho
-        skew.flat[:: d + 1] += self.shift
-        self.shifted = skew
+        shifted.flat[:: d + 1] += self.shift
+        self.shifted = shifted
 
     def cholesky(self) -> bool:
         try:
@@ -190,6 +200,10 @@ class _Anchor:
         if not eigs[0] >= -PSD_ATOL:
             raise ValueError(f"not positive semidefinite: min eigenvalue {eigs[0]:.3e}")
         return float(self.floor - eigs[eigs < 0].sum())
+
+    def verdict(self) -> float:
+        """validate_density_matrix's result: `debt` once the Cholesky passes, else eigvalsh_debt()."""
+        return self.debt if self.cholesky() else self.eigvalsh_debt()
 
 
 def partial_trace(rho: np.ndarray, m: int, keep) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .dynamics import ChannelFamily, build_channels
 from .network import InputError, NetworkTopology, _as_count, _as_index, _as_nonnegative, _as_real, _as_site, _as_state, is_connected
-from .qcore import PSD_ATOL, _Anchor, _apply_pairs, _canonical, _gather_step, _gather_tables, _pair_step, apply_error_bound, check_trace, purity, validate_density_matrix
+from .qcore import PSD_ATOL, _Anchor, _apply_pairs, _canonical, _gamma, _gather_step, _gather_tables, _pair_step, apply_error_bound, check_trace, purity, validate_density_matrix
 from .symmetry import (
     _readout,
     _sector_readout,
@@ -248,6 +248,24 @@ def run(
     last step.  A failure inside the run names the family, the step, its
     edge, and the steps since the last passing anchor.
 
+    The run carries one real matrix, X = Re H + Im H, where H is the
+    Hermitian part of the start (_real_form): d^2 float64 entries, half the
+    bytes and flops of a complex step.  The three superoperators are real and
+    commute with transposition, so the symmetric Re rho and the antisymmetric
+    Im rho evolve apart, and X evolves as rho does.  The record reads X with
+    the formulas it would use on rho (_State).  Anchors and the final state
+    rebuild rho = (X + X^T)/2 + i (X - X^T)/2, which is exactly Hermitian,
+    so an anchor on it skips the Hermiticity check.  The map from X to rho
+    is a linear isometry, so apply_error_bound per unit ||rho||_F holds
+    unchanged.  Forming X and each rebuild round every entry at most three
+    times, so each adds sqrt(d) gamma_3 ||rho||_F to the debt.  A start that
+    is Hermitian only within HERMITICITY_ATOL runs from H: the input
+    anchor's debt already holds ||rho - H|| (validate_density_matrix's
+    ||rho - H||_F term).  When the input anchor finds the start exactly
+    Hermitian, X is formed in one pass, Re rho + Im rho, with the same bits;
+    an unvalidated run forms X from H.  final_state is complex128 and
+    exactly Hermitian.
+
     The state is one of two objects with the same four methods (step,
     record, anchor, final).  A start whose entries (r, c) with |r| != |c|
     are all exactly 0, such as a basis string, a Dicke state or an output of
@@ -265,7 +283,8 @@ def run(
     terms dropped, so its rounding is within gamma_K <= gamma_16 of the same
     terms, and the entries outside the sectors stay exactly 0 in the dense
     evolution as well.  Anchors and the final state scatter the sector
-    entries into a dense matrix, so both layouts keep the dense anchor.
+    entries of X into a dense matrix and rebuild rho from it, so both
+    layouts keep the dense anchor.
 
     The steps never read the input's factorization, only its debt, which a
     Cholesky that succeeds fixes in closed form beforehand (qcore._Anchor).
@@ -281,7 +300,7 @@ def run(
     The worker runs the loop up to the first state due for an anchor (the
     last or early-stop step, or one past the budget) and pauses it there;
     once the input's Cholesky passes, the calling thread resumes the same
-    loop to its end, so it makes every canonical copy and every
+    loop to its end, so it makes every rebuild of rho and every
     factorization.  The channels, the gather tables and the state object
     with its buffers are built on the calling thread before the worker
     starts (the tables once, a rerun reuses them), so the worker allocates
@@ -311,11 +330,12 @@ def run(
         warnings.warn("interaction graph is not connected; convergence is not guaranteed")
     rho = _as_state(rho0, m)
     picks = _picks(schedule, topology, steps)
+    anchor = _Anchor(rho) if validate else None
 
     @functools.cache
     def layout():  # after the input's checks, once
         channels = build_channels(family, topology)
-        return channels, _layout(rho, m, channels, picks)
+        return channels, _layout(rho, m, channels, picks, anchor is not None and anchor.hermitian)
 
     def loop(debt, halt=None):  # a fresh state per loop, so a rerun starts from rho
         gap = None
@@ -325,10 +345,10 @@ def run(
         channels, state = layout()
         return _steps(state(), channels, topology, family, picks, gap, debt, halt)
 
-    if validate and len(rho) >= OVERLAP_MIN_DIM and _spare_core():
-        steps_loop = _overlapped(loop, _Anchor(rho))
+    if anchor is not None and len(rho) >= OVERLAP_MIN_DIM and _spare_core():
+        steps_loop = _overlapped(loop, anchor)
     else:
-        steps_loop = loop(validate_density_matrix(rho) if validate else None)
+        steps_loop = loop(None if anchor is None else anchor.verdict())
     try:
         next(steps_loop)  # to the loop's end: it pauses at most once, on the worker
     except StopIteration as done:
@@ -357,7 +377,7 @@ def _spare_core():
     return _BLAS_THREADS == 1 and _usable_cpus() >= 2
 
 
-def _layout(rho: np.ndarray, m: int, channels, picks):
+def _layout(rho: np.ndarray, m: int, channels, picks, hermitian: bool = False):
     """A callable giving run's fresh state for rho: _Sectors when rho has no coherence between excitation sectors and they pay, else _Dense.
 
     Row 0 is read first, and B_0 holds only its first entry, so a start with
@@ -365,6 +385,7 @@ def _layout(rho: np.ndarray, m: int, channels, picks):
     rho is zero-coherence exactly when its C(2m, m) sector entries hold all
     its nonzero entries.  The gather tables are built here, for the channels
     that `picks` uses, and shared by every state the callable gives.
+    `hermitian` says that rho equals rho^H entry for entry (_real_form).
     """
     used = [channels[i] for i in sorted(set(picks))]
     if not rho[0, 1:].any() and _sectors_pay(len(rho), len(used), len(picks)):
@@ -373,8 +394,8 @@ def _layout(rho: np.ndarray, m: int, channels, picks):
             kept, tables = _gather_tables(used, positions)
             assert len(kept) == len(positions)  # the closure of the zero-coherence class is itself
             tables = {ch.sites: table for ch, table in zip(used, tables)}
-            return lambda: _Sectors(rho.reshape(-1)[positions], m, tables)
-    return lambda: _Dense(rho, m)
+            return lambda: _Sectors(rho, m, tables, hermitian)
+    return lambda: _Dense(rho, m, hermitian)
 
 
 def _sectors_pay(d: int, tables: int, steps: int) -> bool:
@@ -385,24 +406,68 @@ def _sectors_pay(d: int, tables: int, steps: int) -> bool:
     SECTOR_TABLE_WORK / d steps per table: 64 at m = 4, 16 at m = 6, 8 at
     m = 7.  Measured on two cores with one BLAS thread (path, ring and
     complete graphs, all three families, validated or not, from a basis
-    string), a sector run takes about 1.2 to 1.5 times as long as the dense one
-    at 4 steps per table at m = 4 and 5, 0.99 to 1.07 times at 16 steps at
-    m = 4, 0.56 to 0.71 at 16 steps at m = 6 and 0.57 to 0.84 at 8 steps at
-    m = 7.  A table holds K (2 or 3) intp indices and coefficients per
-    zero-coherence entry, 0.39 to 0.59 of a dense state's bytes at m = 8, so
-    from OVERLAP_MIN_DIM on the tables of any connected graph take more than
-    _Dense's two state buffers; below it the largest, m = 7's complete graph
-    under smc, take 3.5 MB.
+    string; both layouts carrying X, see _real_form), a sector run takes a
+    median 1.37 times as long as the dense one at 4 steps per table at m = 4
+    (1.30 to 1.79) and 1.30 at m = 5 (1.19 to 1.43), 1.03 at 16 steps at
+    m = 4 (0.94 to 1.36), 0.74 at 16 steps at m = 6 (0.61 to 0.87) and 0.71
+    at 8 steps at m = 7 (0.54 to 1.12).  A table holds K (2 or 3) intp indices and
+    float64 coefficients per zero-coherence entry, 0.39 to 0.59 of 16 d^2
+    bytes at m = 8, so from OVERLAP_MIN_DIM on the tables of any connected
+    graph take more than all of _Dense's buffers (32 d^2 bytes); below it the
+    largest, m = 7's complete graph under smc, take 3.5 MB.
     """
     return d < OVERLAP_MIN_DIM and steps * d >= SECTOR_TABLE_WORK * tables
 
 
+def _real_form(rho: np.ndarray, out: np.ndarray, scratch: np.ndarray, hermitian: bool = False) -> np.ndarray:
+    """X = Re H + Im H of the Hermitian part H = (rho + rho^H) / 2 of the complex d x d rho, into the real d x d `out`; returns out.
+
+    Re H is symmetric and Im H antisymmetric, and the two are orthogonal, so
+    X holds H in d^2 reals with ||X||_F = ||H||_F, and H = (X + X^T) / 2 +
+    i (X - X^T) / 2 (_rebuild).  X = ((Re rho + Im rho) + (Re rho - Im
+    rho)^T) / 2, with the real `scratch` for the second sum; when rho is
+    exactly Hermitian (`hermitian`) the two sums agree entry for entry, so X
+    is the first alone, the same bits in one pass.  Each entry rounds at
+    most three times: ||X - X_H||_F <= sqrt(2) gamma_2 ||rho||_F.
+    """
+    np.add(rho.real, rho.imag, out=out)
+    if not hermitian:
+        np.subtract(rho.real, rho.imag, out=scratch)
+        out += scratch.T
+        out *= 0.5
+    return out
+
+
+def _rebuild(x: np.ndarray, xt: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """rho = (X + X^T) / 2 + i (X - X^T) / 2 into the complex `out`, given X and X^T as arrays of out's shape; returns out.
+
+    fl(a + b) = fl(b + a) and fl(a - b) = -fl(b - a), so rho equals rho^H
+    entry for entry, and each entry rounds once: ||rho - rho_X||_F <=
+    u ||X||_F for the exact image rho_X of X.
+    """
+    np.add(x, xt, out=out.real)
+    np.subtract(x, xt, out=out.imag)
+    halves = out.view(np.float64)  # out is C-contiguous; halving each part is exact
+    halves *= 0.5
+    return out
+
+
 class _State:
-    """What run's two state layouts share: the record, read from the layout's flat entries x through its _Readout table."""
+    """What run's two state layouts share: the record, read from the layout's flat real entries x of X (_real_form) through its _Readout table, and the anchor.
+
+    Re rho's entries are X's symmetric part and Im rho's its antisymmetric
+    part, so the diagonal, the P_smc corners and every sum over a symmetric
+    set of entries (a Dicke sector block) read X as they read rho, and the
+    purity is ||X||^2.
+    """
 
     def norm(self) -> float:
         """||rho||_F, the square root of the purity: the entries a layout leaves out are 0."""
         return math.sqrt(purity(self.x))
+
+    def anchor(self) -> float:
+        """The debt of the rebuilt rho, final() (an exactly Hermitian one: qcore._Anchor skips that check), or ValueError."""
+        return _Anchor(self.final(), hermitian=True).verdict()
 
     def record(self, t: int, debt: float | None) -> TrajectoryRecord:
         """The diagnostics after step t, with psd_debt = debt; the trace is checked when debt is set."""
@@ -411,45 +476,48 @@ class _State:
         if debt is not None:
             check_trace(diag)
         pops = tuple(_sector_sums(flat, self.table).tolist())
-        smc_pop = float(flat[0].real + flat[-1].real)  # |0..0> and |1..1> stay first and last in both layouts
-        s_exp = float(np.dot(self.table.s_weights, diag.real))
+        smc_pop = float(flat[0] + flat[-1])  # |0..0> and |1..1> stay first and last in both layouts
+        s_exp = float(np.dot(self.table.s_weights, diag))
         return TrajectoryRecord(t, purity(flat), s_exp, len(pops) - sum(pops), 1.0 - smc_pop, pops, smc_pop, debt)
 
 
 class _Dense(_State):
-    """run's state: rho as a (2,)*2m tensor in the pair kernel's carried layout (qcore._pair_step).
+    """run's state: X (_real_form) as a float64 (2,)*2m tensor in the pair kernel's carried layout (qcore._pair_step).
 
-    The layout is a site relabeling of rho with the last step's pair first,
-    so a step is one transposed copy and one matmul, into two state buffers
-    the object allocates, on the thread that builds it.  Trace, S, purity,
-    P_smc and the Dicke populations are invariant under site relabeling, so
-    the record (through the layout's symmetry._readout table) and the trace
-    check read the state as it is, and the early-stop gap reads the record.
-    Canonical order comes back only on a copy for each anchor, made into the
-    transposed-copy buffer, which the next step overwrites; the last
-    anchored copy is the final state.
+    The layout is a site relabeling of X with the last step's pair first,
+    so a step is one transposed copy and one matmul, into two real state
+    buffers the object allocates, on the thread that builds it, beside one
+    complex buffer for rho: 32 d^2 bytes in all.  X is formed in the
+    product buffer, with the other as scratch.  Trace, S, purity, P_smc and
+    the Dicke populations are invariant under site relabeling, so the record
+    (through the layout's symmetry._readout table) and the trace check read
+    the state as it is, and the early-stop gap reads the record.  Each anchor
+    rebuilds rho in canonical order into the complex buffer (_rebuild, from
+    X and X^T, the latter copied into the transposed-copy buffer, which the
+    next step overwrites); the last anchored rho is the final state.
     """
 
-    def __init__(self, rho: np.ndarray, m: int):
-        self.x, self.layout, self.copy, self.table = rho.reshape((2,) * (2 * m)), None, None, _readout(m, 1 << (m - 2))
-        self.front, self.out = np.empty(rho.shape, complex), np.empty(rho.shape, complex)
+    def __init__(self, rho: np.ndarray, m: int, hermitian: bool):
+        self.front, self.out, self.rho = np.empty(rho.shape), np.empty(rho.shape), np.empty(rho.shape, complex)
+        self.x = _real_form(rho, self.out, self.front, hermitian).reshape((2,) * (2 * m))
+        self.layout, self.fresh, self.table = None, False, _readout(m, 1 << (m - 2))
 
     def step(self, channel):
         self.x, self.layout = _pair_step(self.x, self.layout, channel, channel.superop, self.front, self.out)
-        self.copy = None
-
-    def anchor(self) -> float:
-        """validate_density_matrix of a canonical copy of the state: its debt, or ValueError."""
-        self.copy = _canonical(self.x, self.layout, self.front)
-        return validate_density_matrix(self.copy)
+        self.fresh = False
 
     def final(self) -> np.ndarray:
-        """The state in canonical order: the last anchored copy when no step followed it."""
-        return self.copy if self.copy is not None else _canonical(self.x, self.layout, self.front)
+        """rho in canonical order: the last anchored one when no step followed it."""
+        if not self.fresh:
+            m, shape = self.x.ndim // 2, self.x.shape
+            transposed = _canonical(self.x, self.layout[m:] + self.layout[:m], self.front)  # X^T
+            _rebuild(self.x.transpose(self.layout), transposed.reshape(shape), self.rho.reshape(shape))
+            self.fresh = True
+        return self.rho
 
 
 class _Sectors(_State):
-    """run's state for a start without coherence between excitation sectors: v, its C(2m, m) entries with |r| = |c|.
+    """run's state for a start without coherence between excitation sectors: v, the C(2m, m) entries of X (_real_form) with |r| = |c|.
 
     Every gossip, ssc and smc Kraus operator shifts an entry's row and column
     excitation counts by the same amount, so these entries (the blocks B_k
@@ -458,29 +526,29 @@ class _Sectors(_State):
     B_0..B_m, each row-major, so the P_smc corners are v[0] and v[-1].  A
     step is one gather (qcore._gather_step) with the channel's
     qcore._gather_tables table, from `tables` (keyed by sites), between two
-    vectors and through one (K, N) buffer; the record reads v through
+    real vectors and through one (K, N) buffer; the record reads v through
     symmetry._sector_readout.  An anchor and the final state scatter v into
-    a zeroed dense matrix.  The buffers and that matrix are allocated here,
-    on the thread that builds the object.
+    a zeroed real d x d matrix and rebuild rho from it (_rebuild).  The
+    buffers and those matrices are allocated here, on the thread that builds
+    the object.
     """
 
-    def __init__(self, v: np.ndarray, m: int, tables):
+    def __init__(self, rho: np.ndarray, m: int, tables, hermitian: bool):
         self.positions, self.table, self.tables = _readout(m, 1 << m).sectors, _sector_readout(m), tables
-        self.x, self.out = v, np.empty_like(v)
-        self.buf = np.empty((max(len(idx) for idx, _ in tables.values()), len(v)), v.dtype)
-        self.dense = np.zeros((1 << m, 1 << m), complex)
+        self.scattered, self.rho = np.empty(rho.shape), np.empty(rho.shape, complex)
+        # rho's buffer serves as scratch here; every rebuild overwrites all of it.
+        self.x = _real_form(rho, self.scattered, self.rho.real, hermitian).reshape(-1)[self.positions]
+        self.scattered[:] = 0.0
+        self.out = np.empty_like(self.x)
+        self.buf = np.empty((max(len(idx) for idx, _ in tables.values()), len(self.x)))
 
     def step(self, channel):
         self.x, self.out = _gather_step(self.x, self.tables[channel.sites], self.buf, self.out), self.x
 
-    def anchor(self) -> float:
-        """validate_density_matrix of the dense state: its debt, or ValueError."""
-        return validate_density_matrix(self.final())
-
     def final(self) -> np.ndarray:
-        """The state as a dense matrix: v scattered into the zeroed one, whose other entries stay 0."""
-        self.dense.reshape(-1)[self.positions] = self.x
-        return self.dense
+        """rho as a dense matrix: v scattered into the zeroed real matrix, whose other entries stay 0, and rebuilt."""
+        self.scattered.reshape(-1)[self.positions] = self.x
+        return _rebuild(self.scattered, self.scattered.T, self.rho)
 
 
 def _steps(state, channels, topology, family, picks, gap, debt, halt=None):
@@ -495,7 +563,11 @@ def _steps(state, channels, topology, family, picks, gap, debt, halt=None):
     """
     if debt is not None:
         step_bounds = [apply_error_bound(ch) for ch in channels]
+        # Forming X from the start, and each rebuild of rho from X, rounds
+        # every entry at most three times (_real_form, _rebuild).
+        real_form_bound = math.sqrt(1 << topology.m) * _gamma(3)
         norm_f = state.norm()
+        debt += real_form_bound * norm_f
     records: list[TrajectoryRecord] = []
     quiet = anchored = 0
     for t, idx in enumerate(picks, 1):
@@ -511,7 +583,7 @@ def _steps(state, channels, topology, family, picks, gap, debt, halt=None):
                 if halt is not None:
                     yield
                     halt = None
-                rec = replace(rec, psd_debt=state.anchor())
+                rec = replace(rec, psd_debt=state.anchor() + real_form_bound * math.sqrt(rec.purity))
                 anchored = t
         except ValueError as exc:
             raise ValueError(
@@ -580,7 +652,8 @@ def convergence_probability(
     SeedSequence(seed).spawn(trials)[t].generate_state(1)[0].  Channels are
     built once per call and a trial keeps no records (_trial_gaps).  Gossip's
     gap is quadratic in rho, so a gossip trial is one pair-kernel call on its
-    picks.  The ssc and smc gaps are linear, 1 - Tr(P rho), and every ssc
+    picks, on run's real X (_real_form), and its gap is
+    ||X||^2 - purity(gossip_fixed_point(rho0)).  The ssc and smc gaps are linear, 1 - Tr(P rho), and every ssc
     (smc) pair Kraus operator shifts the excitation count by 0 (-1, 0 or +1),
     so the entries a gap reads close on the C(2m, m) zero-coherence entries
     (the 2^m populations): a trial gathers Re(rho) on them
@@ -613,8 +686,9 @@ def _trial_gaps(rho0: np.ndarray, topology: NetworkTopology, family: ChannelFami
     """Each trial's final Lyapunov gap, in trial order, for convergence_probability's checked arguments (see there)."""
     m = topology.m
     channels = build_channels(family, topology)
-    if family.kind == "gossip":
-        gossip_target, steps = gossip_fixed_point(rho0, m), [(ch, ch.superop) for ch in channels]
+    if family.kind == "gossip":  # the gap is ||X||^2 - purity(target), read on X (_real_form)
+        x0 = _real_form(rho0, np.empty(rho0.shape), np.empty(rho0.shape))
+        target, steps = purity(gossip_fixed_point(rho0, m)), [(ch, ch.superop) for ch in channels]
     else:
         kept, tables, w = _gap_gather(family, channels, m)
         pairs, whole, tables = _transpose_fold(kept, tables, 1 << m)
@@ -625,7 +699,7 @@ def _trial_gaps(rho0: np.ndarray, topology: NetworkTopology, family: ChannelFami
     for t, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
         picks = _random_picks(topology, int(child.generate_state(1)[0]), horizon)
         if family.kind == "gossip":
-            gaps[t] = lyapunov_gap(family, _apply_pairs(rho0, [steps[i] for i in picks]), m, gossip_target=gossip_target)
+            gaps[t] = purity(_apply_pairs(x0, [steps[i] for i in picks])) - target
         else:
             v = v0.copy()
             for i in picks.tolist():  # Python ints index the table list faster than numpy ones

@@ -3,7 +3,8 @@
 The library relabels sites by permuting the axes of the (2,)*2m qubit-tensor
 view (KrausChannel.perm, gossip_fixed_point, is_ssc, apply_flip).  These
 builders state the same operations as explicit matrices, so tests can check
-the axis forms against U x U^dag.
+the axis forms against U x U^dag, and apply a pair channel as the complex
+operator sum of its embedded Kraus matrices.
 """
 
 from __future__ import annotations
@@ -59,3 +60,9 @@ def embed_neighborhood(op: np.ndarray, pair, m: int) -> np.ndarray:
     rest = iter(range(3, m + 1))
     images = [1 if s == j else 2 if s == k else next(rest) for s in range(1, m + 1)]
     return permute_sites(np.kron(op, np.eye(1 << (m - 2), dtype=complex)), images, m)
+
+
+def dense_channel_apply(channel, rho: np.ndarray) -> np.ndarray:
+    """sum_k K_k rho K_k^dag for a pair channel, each K_k its Kraus operator embedded as a 2^m x 2^m matrix."""
+    ks = [embed_neighborhood(a, channel.sites, channel.m) for a in channel.kraus_ops]
+    return sum(k @ rho @ k.conj().T for k in ks)

@@ -22,6 +22,8 @@ from qconsensus.network import InputError, NetworkTopology
 from qconsensus.qcore import (
     PSD_ATOL,
     KrausChannel,
+    _Anchor,
+    _gamma,
     _pair_step,
     apply_channel,
     apply_error_bound,
@@ -60,19 +62,23 @@ def sector_matrix(v, m):
     return rho
 
 
+def rebuilt(x):
+    """The Hermitian rho = (X + X^T)/2 + i (X - X^T)/2 of run's real carried matrix X."""
+    return (x + x.T) / 2 + 1j * ((x - x.T) / 2)
+
+
 def steps_and_records(monkeypatch, *args, **kwargs):
-    """run(*args) plus (channel, state after the step) for every step it makes, on either state layout."""
+    """run(*args) plus (channel, state after the step, rebuilt from the carried X) for every step it makes, on either state layout."""
     steps = []
 
     def recording_step(x, layout, channel, superop, *buffers):
         out, out_layout = _pair_step(x, layout, channel, superop, *buffers)
-        # A copy: the kernel writes every step into the same buffer.
-        steps.append((channel, np.array(out.transpose(out_layout).reshape(channel.dim, channel.dim))))
+        steps.append((channel, rebuilt(out.transpose(out_layout).reshape(channel.dim, channel.dim))))
         return out, out_layout
 
     def recording_sector_step(state, channel):
         sector_step(state, channel)
-        steps.append((channel, sector_matrix(state.x, channel.m)))
+        steps.append((channel, rebuilt(sector_matrix(state.x, channel.m))))
 
     sector_step = simulator._Sectors.step
     monkeypatch.setattr(simulator, "_pair_step", recording_step)
@@ -94,7 +100,9 @@ def test_debt_bounds_negativity_and_hermiticity_at_every_step(m, kind, start, se
     with pytest.MonkeyPatch.context() as mp:
         applied, result = steps_and_records(mp, rho0, ring(m), FAMILIES[kind], Schedule.random(seed=seed), steps)
     assert len(applied) == len(result.records) == steps
-    debt, norm_f = validate_density_matrix(rho0), np.sqrt(purity(rho0))
+    # Forming X from rho0 adds sqrt(d) gamma_3 ||rho0||_F to the input's debt.
+    norm_f = np.sqrt(purity(rho0))
+    debt = validate_density_matrix(rho0) + np.sqrt(1 << m) * _gamma(3) * norm_f
     for t, ((channel, rho), record) in enumerate(zip(applied, result.records), 1):
         assert 0.0 < record.psd_debt <= PSD_DEBT_BUDGET
         assert np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0] >= -record.psd_debt
@@ -242,14 +250,14 @@ def test_state_inside_the_floor_is_accepted_and_its_debt_covers_it():
 
 @pytest.mark.parametrize("kind", sorted(FAMILIES))
 def test_forced_anchors_leave_the_trajectory_bit_identical(monkeypatch, kind):
-    calls = []
+    calls, cholesky = [], _Anchor.cholesky
     args = (random_density(9, 32), ring(5), FAMILIES[kind], Schedule.random(seed=2), 12)
 
-    def counting_validate(rho):
-        calls.append(rho)
-        return validate_density_matrix(rho)
+    def counting_cholesky(anchor):
+        calls.append(anchor)
+        return cholesky(anchor)
 
-    monkeypatch.setattr(simulator, "validate_density_matrix", counting_validate)
+    monkeypatch.setattr(_Anchor, "cholesky", counting_cholesky)
     plain = run(*args)
     assert len(calls) == 2  # the input and the last step
     monkeypatch.setattr(simulator, "PSD_DEBT_BUDGET", 0.0)

@@ -199,10 +199,10 @@ def test_a_faulty_sector_step_fails_at_the_next_anchor_with_step_edge_and_window
 
 def test_a_faulty_sector_step_on_the_worker_fails_at_the_callers_anchor(monkeypatch, layouts, sectors):
     monkeypatch.setattr(simulator, "_spare_core", lambda: True)
-    m, threads, factorizations, validate = 8, [], [], simulator.validate_density_matrix
+    m, threads, factorizations, cholesky = 8, [], [], _Anchor.cholesky
     step = faulty_sector_step(m, (2, 3))
     monkeypatch.setattr(simulator._Sectors, "step", lambda *args: threads.append(threading.get_ident()) or step(*args))
-    monkeypatch.setattr(simulator, "validate_density_matrix", lambda rho: factorizations.append(threading.get_ident()) or validate(rho))
+    monkeypatch.setattr(_Anchor, "cholesky", lambda self: factorizations.append(threading.get_ident()) or cholesky(self))
     args = (ket_to_density(dicke_ket(m, 4)), graph(m, "path"), ChannelFamily.ssc(), Schedule.cyclic((0, 2, 3, 4, 5, 6, 1)), 7)
     messages = []
     for path in ("threaded", "inline"):
@@ -338,7 +338,8 @@ def test_gather_tables_are_built_once_for_the_channels_the_schedule_picks(monkey
 @pytest.mark.parametrize("kind", sorted(FAMILIES))
 def test_from_the_overlap_size_on_the_gather_tables_outgrow_the_dense_buffers(monkeypatch, layouts, kind):
     # The smallest connected graph at m = 8 already needs more table bytes
-    # than _Dense's two state buffers, so those starts stay dense, however
+    # than all of _Dense's buffers (two real step buffers and the complex
+    # one for rho), so those starts stay dense, however
     # many steps they make; at m = 10 the complete graph's 45 tables would
     # take about 15 dense states, and none is built.
     m, d = 8, 1 << 8
@@ -352,5 +353,5 @@ def test_from_the_overlap_size_on_the_gather_tables_outgrow_the_dense_buffers(mo
         topology = graph(m, name)
         picks = simulator._picks(Schedule.cyclic(), topology, 100 * len(topology.neighborhoods))
         state = simulator._layout(rho, m, build_channels(FAMILIES[kind], topology), picks)()
-        assert state.front.nbytes == state.out.nbytes == rho.nbytes
+        assert state.front.nbytes == state.out.nbytes == rho.real.nbytes and state.rho.nbytes == rho.nbytes
     assert layouts == ["_Dense"] * 2

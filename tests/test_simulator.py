@@ -397,11 +397,12 @@ def test_wrong_size_states_raise_the_shape_error(call):
 def test_run_checks_the_shape_before_it_factorizes(monkeypatch):
     calls = []
 
-    def counting_validate(rho):
+    def counting_anchor(rho, *args):
         calls.append(rho.shape)
-        return validate_density_matrix(rho)
+        return anchor(rho, *args)
 
-    monkeypatch.setattr(simulator, "validate_density_matrix", counting_validate)
+    anchor = simulator._Anchor
+    monkeypatch.setattr(simulator, "_Anchor", counting_anchor)
     with pytest.raises(ValueError, match=r"shape \(8, 8\) does not match m=2"):
         run(np.eye(8) / 8, PAIR2, ChannelFamily.ssc(), Schedule.cyclic(), 1)
     assert calls == []
@@ -657,6 +658,31 @@ def test_trials_on_one_entry_per_transposed_pair_give_the_full_trials_gaps_bit_f
         assert idx.shape == coef.shape == (len(full_idx), pairs.shape[1])
 
 
+@pytest.mark.parametrize("graph", ["path", "ring", "weighted"])
+@pytest.mark.parametrize("m", range(2, 7))
+def test_gossip_trials_on_the_real_matrix_give_the_complex_trials_gaps_and_estimates(m, graph):
+    # A gossip trial steps X = Re rho0 + Im rho0 and reads ||X||^2 minus the
+    # target's purity; the complex trial steps rho0 and reads lyapunov_gap.
+    if graph == "ring":
+        topology = NetworkTopology(m=m, neighborhoods=_kernel_graphs(m)["path"] + (((1, m),) if m > 2 else ()))
+    else:
+        topology = _kernel_topology(m, graph)
+    family, rho0 = ChannelFamily.gossip(0.3), random_density(40 + m, 1 << m)
+    steps, target = [(ch, ch.superop) for ch in build_channels(family, topology)], gossip_fixed_point(rho0, m)
+    horizon, trials, seed = 20, 8, 5
+    gaps = simulator._trial_gaps(rho0, topology, family, horizon, trials, seed)
+    want = []
+    for child in np.random.SeedSequence(seed).spawn(trials):
+        picks = simulator._random_picks(topology, int(child.generate_state(1)[0]), horizon)
+        want.append(lyapunov_gap(family, _apply_pairs(rho0, [steps[i] for i in picks]), m, gossip_target=target))
+    assert np.max(np.abs(gaps - want)) <= 1e-13
+    ordered = np.sort(want)
+    midpoints = (ordered[1:] + ordered[:-1]) / 2  # thresholds between the complex trials' gaps
+    for gamma in midpoints[midpoints > 0]:
+        estimate = convergence_probability(rho0, topology, family, gamma, horizon, trials, seed)
+        assert estimate == np.count_nonzero(np.array(want) < gamma) / trials
+
+
 @pytest.mark.parametrize("m", [3, 5, 6])
 @pytest.mark.parametrize("family", [ChannelFamily.ssc(), ChannelFamily.smc()], ids=["ssc", "smc"])
 def test_trial_gaps_drop_an_antisymmetric_part_within_the_hermiticity_tolerance(family, m):
@@ -712,6 +738,13 @@ def test_gossip_gap_is_the_squared_distance_to_the_permutation_average(m, graph)
             assert abs(gap - _hs_distance_sq(rho, target)) <= 1e-12
 
 
+def _rebuilt(x):
+    """The Hermitian rho = (X + X^T)/2 + i (X - X^T)/2 that run rebuilds from its real carried matrix X."""
+    rho = np.empty(x.shape, complex)
+    rho.real, rho.imag = (x + x.T) / 2, (x - x.T) / 2
+    return rho
+
+
 @pytest.mark.parametrize("validate", [True, False], ids=["validated", "unvalidated"])
 @pytest.mark.parametrize("start", ["dense", "ghz"])
 @pytest.mark.parametrize("graph", ["path", "ring-chord", "complete"])
@@ -721,7 +754,8 @@ def test_gossip_gap_is_the_squared_distance_to_the_permutation_average(m, graph)
 )
 def test_carried_run_records_match_the_canonical_replay(monkeypatch, family, m, graph, start, validate):
     # run reads its records, trace checks and early-stop gaps from the pair
-    # kernel's site-relabeled layout; the replay reads the canonical matrix.
+    # kernel's site-relabeled layout of X = Re rho + Im rho; the replay steps
+    # X in canonical order with the same kernel and reads the rebuilt matrix.
     # The GHZ start is a fixed point of all three families, so every run
     # stops early on it.  The replay's gossip gap is the squared
     # Hilbert-Schmidt distance to the target, run's the purity difference.
@@ -738,9 +772,10 @@ def test_carried_run_records_match_the_canonical_replay(monkeypatch, family, m, 
     result = run(rho0, topology, family, Schedule.random(seed=m), 30, validate=validate, early_stop=True)
     channels = build_channels(family, topology)
     target, s_diag = gossip_fixed_point(rho0, m), 2.0 * (m - excitation_counts(m))
-    states, quiet = [rho0], 0
+    x, states, quiet = rho0.real + rho0.imag, [rho0], 0
     for idx in simulator._random_picks(topology, m, 30):
-        states.append(apply_channel(channels[idx], states[-1], validate=False))
+        x = _apply_pairs(x, [(channels[idx], channels[idx].superop)])
+        states.append(_rebuilt(x))
         gap = _hs_distance_sq(states[-1], target) if family.kind == "gossip" else lyapunov_gap(family, states[-1], m)
         quiet = quiet + 1 if gap < 1e-10 else 0
         if quiet >= 2 * m:
@@ -784,8 +819,9 @@ def test_long_validated_run_keeps_invariants_without_renormalisation(family):
     assert max(abs(r.s_expectation - s0) for r in result.records) <= 1e-9
     # The validated run's final state is the bare composition of the channel
     # maps on the same neighborhood sequence: nothing rescales or projects it.
+    # X = Re rho + Im rho is stepped by the same kernel and rebuilt once.
     channels = build_channels(family, topology)
-    rho = rho0
+    x = rho0.real + rho0.imag
     for idx in np.random.default_rng(8).choice(len(channels), size=steps, p=np.full(len(channels), 0.25)):
-        rho = apply_channel(channels[idx], rho, validate=False)
-    assert np.array_equal(result.final_state, rho)
+        x = _apply_pairs(x, [(channels[idx], channels[idx].superop)])
+    assert np.array_equal(result.final_state, _rebuilt(x))
