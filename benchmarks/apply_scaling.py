@@ -198,6 +198,7 @@ def sector_split(family, topology, repeats: int) -> dict:
     channels = build_channels(family, topology)
     with mock.patch.object(simulator, "_sectors_pay", lambda *args: True):
         state = simulator._layout(rho, m, channels, range(len(channels)))()
+    state.load()
     if not isinstance(state, simulator._Sectors):
         raise RuntimeError(f"a basis string took {type(state).__name__}")
     pair = channels[m // 2 - 1]  # the ring's edge (m//2, m//2 + 1)
@@ -221,6 +222,7 @@ def record_fn(m: int, rho: np.ndarray):
 
     channel = neighborhood_channel(ChannelFamily.ssc(), (m // 2, m // 2 + 1), m)
     state = simulator._layout(rho, m, [channel], [0])()
+    state.load()
     state.step(channel)
     return lambda: state.record(1, None)
 

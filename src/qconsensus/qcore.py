@@ -149,11 +149,9 @@ class _Anchor:
     factorization and says whether it succeeded; if it did not,
     eigvalsh_debt() decides, raising when rho is not positive semidefinite
     and otherwise returning the debt that replaces `debt`.  verdict() is
-    the two in sequence.  `hermitian` says whether rho equals rho^H entry for
-    entry (to the underflow of the squared residual below about 1e-162).  A
-    caller that builds rho exactly Hermitian passes hermitian=True, which
-    skips the Hermiticity check: the shifted copy is rho + cI, and
-    ||rho - H||_F = 0.
+    the two in sequence.  A caller that builds rho exactly Hermitian passes
+    hermitian=True, which skips the Hermiticity check: the shifted copy is
+    rho + cI, and ||rho - H||_F = 0.
     """
 
     def __init__(self, rho: np.ndarray, hermitian: bool = False):
@@ -179,7 +177,6 @@ class _Anchor:
             skew *= -0.5
             skew += rho
             shifted = skew
-        self.hermitian = skew_norm == 0.0
         check_trace(rho)
         d = len(rho)
         self.shift = PSD_ATOL / (4 * d)

@@ -223,7 +223,9 @@ def run(
     steps : number of channel applications (>= 1)
     validate : keep every state within the density-matrix invariants of
         validate_density_matrix, and raise ValueError when one fails; disable
-        for benchmark runs
+        for benchmark runs.  An unvalidated run checks only the shape: it
+        evolves the Hermitian part (rho0 + rho0^H)/2 of any start, so a
+        non-Hermitian one returns the evolution of that part
     early_stop : stop once the family's Lyapunov gap (lyapunov_gap: a
         record field minus its limit) stays below EARLY_STOP_THRESHOLD for
         2*m consecutive steps
@@ -261,18 +263,16 @@ def run(
     times, so each adds sqrt(d) gamma_3 ||rho||_F to the debt.  A start that
     is Hermitian only within HERMITICITY_ATOL runs from H: the input
     anchor's debt already holds ||rho - H|| (validate_density_matrix's
-    ||rho - H||_F term).  When the input anchor finds the start exactly
-    Hermitian, X is formed in one pass, Re rho + Im rho, with the same bits;
-    an unvalidated run forms X from H.  final_state is complex128 and
-    exactly Hermitian.
+    ||rho - H||_F term).  final_state is complex128 and exactly Hermitian.
 
-    The state is one of two objects with the same four methods (step,
-    record, anchor, final).  A start whose entries (r, c) with |r| != |c|
-    are all exactly 0, such as a basis string, a Dicke state or an output of
-    measure_global_observable, can run on _Sectors: every Kraus operator of
-    the three families shifts the row and column excitation counts by the
-    same amount, so only its C(2m, m) entries with |r| = |c| move, one
-    gather per step.  It does when _sectors_pay: the state has fewer than
+    The state is one of two objects with the same five methods (load, step,
+    record, anchor, final).  Each allocates its buffers when built, and
+    load() forms X in them at the start of the loop.  A start whose entries
+    (r, c) with |r| != |c| are all exactly 0, such as a basis string, a
+    Dicke state or an output of measure_global_observable, can run on
+    _Sectors: every Kraus operator of the three families shifts the row and
+    column excitation counts by the same amount, so only its C(2m, m)
+    entries with |r| = |c| move, one gather per step.  It does when _sectors_pay: the state has fewer than
     OVERLAP_MIN_DIM dimensions, where the gather tables of the channels the
     schedule picks stay within a few MB (beyond, they outgrow _Dense's
     buffers), and the run makes at least SECTOR_TABLE_WORK / d steps per
@@ -289,10 +289,10 @@ def run(
     The steps never read the input's factorization, only its debt, which a
     Cholesky that succeeds fixes in closed form beforehand (qcore._Anchor).
     So a validated run on at least OVERLAP_MIN_DIM dimensions starts the step
-    loop (pair steps, records, trace checks) on one worker thread once the
-    input passes the O(d^2) Hermiticity and trace checks, and factorizes the
-    input on the calling thread meanwhile, provided BLAS runs one thread per
-    call and the process may use two cores (_spare_core).  Other runs run
+    loop (forming X, pair steps, records, trace checks) on one worker thread
+    once the input passes the O(d^2) Hermiticity and trace checks, and
+    factorizes the input on the calling thread meanwhile, provided BLAS runs
+    one thread per call and the process may use two cores (_spare_core).  Other runs run
     the same loop inline: on smaller states the thread handoff costs more
     than the overlap saves, and without a spare core the worker's matmul and
     the caller's Cholesky share one (measured at m = 9: 7% slower with one
@@ -330,12 +330,11 @@ def run(
         warnings.warn("interaction graph is not connected; convergence is not guaranteed")
     rho = _as_state(rho0, m)
     picks = _picks(schedule, topology, steps)
-    anchor = _Anchor(rho) if validate else None
 
     @functools.cache
     def layout():  # after the input's checks, once
         channels = build_channels(family, topology)
-        return channels, _layout(rho, m, channels, picks, anchor is not None and anchor.hermitian)
+        return channels, _layout(rho, m, channels, picks)
 
     def loop(debt, halt=None):  # a fresh state per loop, so a rerun starts from rho
         gap = None
@@ -345,10 +344,10 @@ def run(
         channels, state = layout()
         return _steps(state(), channels, topology, family, picks, gap, debt, halt)
 
-    if anchor is not None and len(rho) >= OVERLAP_MIN_DIM and _spare_core():
-        steps_loop = _overlapped(loop, anchor)
+    if validate and len(rho) >= OVERLAP_MIN_DIM and _spare_core():
+        steps_loop = _overlapped(loop, _Anchor(rho))
     else:
-        steps_loop = loop(None if anchor is None else anchor.verdict())
+        steps_loop = loop(validate_density_matrix(rho) if validate else None)
     try:
         next(steps_loop)  # to the loop's end: it pauses at most once, on the worker
     except StopIteration as done:
@@ -377,7 +376,7 @@ def _spare_core():
     return _BLAS_THREADS == 1 and _usable_cpus() >= 2
 
 
-def _layout(rho: np.ndarray, m: int, channels, picks, hermitian: bool = False):
+def _layout(rho: np.ndarray, m: int, channels, picks):
     """A callable giving run's fresh state for rho: _Sectors when rho has no coherence between excitation sectors and they pay, else _Dense.
 
     Row 0 is read first, and B_0 holds only its first entry, so a start with
@@ -385,7 +384,6 @@ def _layout(rho: np.ndarray, m: int, channels, picks, hermitian: bool = False):
     rho is zero-coherence exactly when its C(2m, m) sector entries hold all
     its nonzero entries.  The gather tables are built here, for the channels
     that `picks` uses, and shared by every state the callable gives.
-    `hermitian` says that rho equals rho^H entry for entry (_real_form).
     """
     used = [channels[i] for i in sorted(set(picks))]
     if not rho[0, 1:].any() and _sectors_pay(len(rho), len(used), len(picks)):
@@ -394,8 +392,8 @@ def _layout(rho: np.ndarray, m: int, channels, picks, hermitian: bool = False):
             kept, tables = _gather_tables(used, positions)
             assert len(kept) == len(positions)  # the closure of the zero-coherence class is itself
             tables = {ch.sites: table for ch, table in zip(used, tables)}
-            return lambda: _Sectors(rho, m, tables, hermitian)
-    return lambda: _Dense(rho, m, hermitian)
+            return lambda: _Sectors(rho, m, tables)
+    return lambda: _Dense(rho, m)
 
 
 def _sectors_pay(d: int, tables: int, steps: int) -> bool:
@@ -419,22 +417,21 @@ def _sectors_pay(d: int, tables: int, steps: int) -> bool:
     return d < OVERLAP_MIN_DIM and steps * d >= SECTOR_TABLE_WORK * tables
 
 
-def _real_form(rho: np.ndarray, out: np.ndarray, scratch: np.ndarray, hermitian: bool = False) -> np.ndarray:
+def _real_form(rho: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """X = Re H + Im H of the Hermitian part H = (rho + rho^H) / 2 of the complex d x d rho, into the real d x d `out`; returns out.
 
     Re H is symmetric and Im H antisymmetric, and the two are orthogonal, so
     X holds H in d^2 reals with ||X||_F = ||H||_F, and H = (X + X^T) / 2 +
     i (X - X^T) / 2 (_rebuild).  X = ((Re rho + Im rho) + (Re rho - Im
     rho)^T) / 2, with the real `scratch` for the second sum; when rho is
-    exactly Hermitian (`hermitian`) the two sums agree entry for entry, so X
-    is the first alone, the same bits in one pass.  Each entry rounds at
-    most three times: ||X - X_H||_F <= sqrt(2) gamma_2 ||rho||_F.
+    exactly Hermitian the two sums agree entry for entry, so X = Re rho + Im
+    rho bit for bit.  Each entry rounds at most three times: ||X - X_H||_F
+    <= sqrt(2) gamma_2 ||rho||_F.
     """
     np.add(rho.real, rho.imag, out=out)
-    if not hermitian:
-        np.subtract(rho.real, rho.imag, out=scratch)
-        out += scratch.T
-        out *= 0.5
+    np.subtract(rho.real, rho.imag, out=scratch)
+    out += scratch.T
+    out *= 0.5
     return out
 
 
@@ -487,20 +484,25 @@ class _Dense(_State):
     The layout is a site relabeling of X with the last step's pair first,
     so a step is one transposed copy and one matmul, into two real state
     buffers the object allocates, on the thread that builds it, beside one
-    complex buffer for rho: 32 d^2 bytes in all.  X is formed in the
-    product buffer, with the other as scratch.  Trace, S, purity, P_smc and
-    the Dicke populations are invariant under site relabeling, so the record
-    (through the layout's symmetry._readout table) and the trace check read
-    the state as it is, and the early-stop gap reads the record.  Each anchor
-    rebuilds rho in canonical order into the complex buffer (_rebuild, from
-    X and X^T, the latter copied into the transposed-copy buffer, which the
-    next step overwrites); the last anchored rho is the final state.
+    complex buffer for rho: 32 d^2 bytes in all.  load() forms X in the
+    product buffer, with the other as scratch, at the loop's start: on the
+    worker thread when run overlaps the input's Cholesky, which hides it.
+    Trace, S, purity, P_smc and the Dicke populations are invariant under
+    site relabeling, so the record (through the layout's symmetry._readout
+    table) and the trace check read the state as it is, and the early-stop
+    gap reads the record.  Each anchor rebuilds rho in canonical order into
+    the complex buffer (_rebuild, from X and X^T, the latter copied into the
+    transposed-copy buffer, which the next step overwrites); the last
+    anchored rho is the final state.
     """
 
-    def __init__(self, rho: np.ndarray, m: int, hermitian: bool):
+    def __init__(self, rho: np.ndarray, m: int):
         self.front, self.out, self.rho = np.empty(rho.shape), np.empty(rho.shape), np.empty(rho.shape, complex)
-        self.x = _real_form(rho, self.out, self.front, hermitian).reshape((2,) * (2 * m))
+        self.start, self.x = rho, self.out.reshape((2,) * (2 * m))
         self.layout, self.fresh, self.table = None, False, _readout(m, 1 << (m - 2))
+
+    def load(self):
+        _real_form(self.start, self.out, self.front)
 
     def step(self, channel):
         self.x, self.layout = _pair_step(self.x, self.layout, channel, channel.superop, self.front, self.out)
@@ -527,20 +529,23 @@ class _Sectors(_State):
     step is one gather (qcore._gather_step) with the channel's
     qcore._gather_tables table, from `tables` (keyed by sites), between two
     real vectors and through one (K, N) buffer; the record reads v through
-    symmetry._sector_readout.  An anchor and the final state scatter v into
-    a zeroed real d x d matrix and rebuild rho from it (_rebuild).  The
+    symmetry._sector_readout.  load() forms v from X (_real_form, through
+    the dense real matrix).  An anchor and the final state scatter v into
+    that matrix, zeroed, and rebuild rho from it (_rebuild).  The
     buffers and those matrices are allocated here, on the thread that builds
     the object.
     """
 
-    def __init__(self, rho: np.ndarray, m: int, tables, hermitian: bool):
+    def __init__(self, rho: np.ndarray, m: int, tables):
         self.positions, self.table, self.tables = _readout(m, 1 << m).sectors, _sector_readout(m), tables
-        self.scattered, self.rho = np.empty(rho.shape), np.empty(rho.shape, complex)
-        # rho's buffer serves as scratch here; every rebuild overwrites all of it.
-        self.x = _real_form(rho, self.scattered, self.rho.real, hermitian).reshape(-1)[self.positions]
-        self.scattered[:] = 0.0
-        self.out = np.empty_like(self.x)
+        self.start, self.scattered, self.rho = rho, np.empty(rho.shape), np.empty(rho.shape, complex)
+        self.x, self.out = np.empty(len(self.positions)), np.empty(len(self.positions))
         self.buf = np.empty((max(len(idx) for idx, _ in tables.values()), len(self.x)))
+
+    def load(self):
+        # rho's buffer serves as scratch here; every rebuild overwrites all of it.
+        np.take(_real_form(self.start, self.scattered, self.rho.real), self.positions, out=self.x)
+        self.scattered[:] = 0.0
 
     def step(self, channel):
         self.x, self.out = _gather_step(self.x, self.tables[channel.sites], self.buf, self.out), self.x
@@ -555,12 +560,14 @@ def _steps(state, channels, topology, family, picks, gap, debt, halt=None):
     """run's step loop on a fresh _Dense or _Sectors, stepping channels[i] for each i in picks, as a generator that anchors every state where an anchor is due.
 
     gap is the early-stop (record field, limit) or None, and debt None for a
-    run without validation.  Returns (records, final state) through
+    run without validation.  The loop's first act is state.load(), which
+    forms X from the start.  Returns (records, final state) through
     StopIteration, or None when `halt` is set at the start of a step.  Given
     `halt`, the loop pauses once, with a bare yield, just before its first
     anchor, and then drops `halt`; whoever resumes it makes every anchor.  An
     anchor that fails is raised with the run's step, edge and anchor context.
     """
+    state.load()
     if debt is not None:
         step_bounds = [apply_error_bound(ch) for ch in channels]
         # Forming X from the start, and each rebuild of rho from X, rounds

@@ -8,6 +8,7 @@ unvalidated runs agree bit for bit.
 """
 
 import threading
+import weakref
 from dataclasses import replace
 from itertools import combinations
 
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from dense_reference import dense_channel_apply
-from qconsensus import simulator
+from qconsensus import qcore, simulator
 from qconsensus.dynamics import ChannelFamily, build_channels
 from qconsensus.network import NetworkTopology
 from qconsensus.qcore import HERMITICITY_ATOL, bitstring_ket, ket_to_density, load_matrix, purity, save_matrix
@@ -114,15 +115,15 @@ def test_every_anchored_and_returned_state_is_exactly_hermitian(monkeypatch, m, 
 
 @pytest.mark.parametrize("kind", sorted(FAMILIES))
 def test_threaded_inline_and_unvalidated_runs_are_bit_identical_at_m8(monkeypatch, kind):
-    # A validated run forms X in one pass, because its input anchor finds the
-    # start exactly Hermitian; an unvalidated run forms X from the Hermitian
-    # part, which is the same matrix bit for bit.
     monkeypatch.setattr(simulator, "_spare_core", lambda: True)
     threads, step = [], simulator._pair_step
     monkeypatch.setattr(simulator, "_pair_step", lambda *args: threads.append(threading.get_ident()) or step(*args))
+    forms, real_form = [], simulator._real_form
+    monkeypatch.setattr(simulator, "_real_form", lambda *args: forms.append(threading.get_ident()) or real_form(*args))
     args = (random_density(12, 256), graph(8, "ring"), FAMILIES[kind], Schedule.random(seed=3), 20)
     threaded = run(*args)
     assert threads[0] != threading.get_ident()
+    assert forms == threads[:1]  # the worker forms X while the caller factorizes the input
     monkeypatch.setattr(simulator, "OVERLAP_MIN_DIM", 512)
     threads.clear()
     inline = run(*args)
@@ -162,4 +163,54 @@ def test_a_start_hermitian_within_the_tolerance_runs_from_its_hermitian_part(tmp
         for record, want in zip(result.records, fields):
             assert np.max(np.abs(np.subtract(record_fields(record), want))) <= 1e-10
         assert np.max(np.abs(result.final_state - states[-1])) <= 1e-10
+        assert np.array_equal(result.final_state, result.final_state.conj().T)
+
+
+@pytest.mark.parametrize("pays", [True, False])
+@pytest.mark.parametrize("m", [5, 8])
+def test_the_inline_path_keeps_no_array_of_the_input_check(monkeypatch, m, pays):
+    # The input check's shifted copy (16 d^2 bytes) is gone before the first
+    # step, so it adds nothing to the run's peak memory at later anchors.
+    monkeypatch.setattr(simulator, "OVERLAP_MIN_DIM", 1 << 12)
+    monkeypatch.setattr(simulator, "_sectors_pay", lambda *args: pays)
+    rho0, copies, anchor = start_state("measured", m), [], simulator._Anchor
+
+    class RecordingAnchor(anchor):
+        def __init__(self, rho, hermitian=False):
+            super().__init__(rho, hermitian)
+            if not hermitian:  # the input check; run's own anchors pass hermitian=True
+                copies.append(weakref.ref(self.shifted))
+
+    alive = []
+    for module in (simulator, qcore):
+        monkeypatch.setattr(module, "_Anchor", RecordingAnchor)
+    for name in ("_pair_step", "_gather_step"):
+        step = getattr(simulator, name)
+        monkeypatch.setattr(simulator, name, lambda *args, step=step: alive.append(any(c() is not None for c in copies)) or step(*args))
+    run(rho0, graph(m, "ring"), FAMILIES["smc"], Schedule.random(seed=4), 10)
+    assert len(copies) == 1
+    assert alive == [False] * 10
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+@pytest.mark.parametrize("m", [3, 6])
+def test_an_unvalidated_run_evolves_the_hermitian_part_of_any_start(monkeypatch, m, kind):
+    # A start far from Hermitian, which a validated run rejects, runs
+    # unvalidated as its Hermitian part H would: the same records and final
+    # state as the complex evolution of H, and an exactly Hermitian result.
+    monkeypatch.setattr(simulator, "_sectors_pay", lambda *args: True)
+    d = 1 << m
+    a = np.random.default_rng(m).standard_normal((d, d)) + 1j * np.random.default_rng(m + 1).standard_normal((d, d))
+    hermitian = random_density(m, d)
+    topology, family = graph(m, "ring"), FAMILIES[kind]
+    picks = simulator._random_picks(topology, 2, 12)
+    states, fields = reference_records(hermitian, topology, family, picks, False)
+    for skew in ((a - a.conj().T) / 20, np.diag(np.arange(d) * 1e-3j)):
+        rho0 = hermitian + skew
+        with pytest.raises(ValueError, match="not Hermitian"):
+            run(rho0, topology, family, Schedule.random(seed=2), 12)
+        result = run(rho0, topology, family, Schedule.random(seed=2), 12, validate=False)
+        for record, want in zip(result.records, fields):
+            assert np.max(np.abs(np.subtract(record_fields(record), want))) <= 1e-12
+        assert np.max(np.abs(result.final_state - states[-1])) <= 1e-12
         assert np.array_equal(result.final_state, result.final_state.conj().T)

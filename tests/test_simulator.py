@@ -397,12 +397,11 @@ def test_wrong_size_states_raise_the_shape_error(call):
 def test_run_checks_the_shape_before_it_factorizes(monkeypatch):
     calls = []
 
-    def counting_anchor(rho, *args):
+    def counting_validate(rho):
         calls.append(rho.shape)
-        return anchor(rho, *args)
+        return validate_density_matrix(rho)
 
-    anchor = simulator._Anchor
-    monkeypatch.setattr(simulator, "_Anchor", counting_anchor)
+    monkeypatch.setattr(simulator, "validate_density_matrix", counting_validate)
     with pytest.raises(ValueError, match=r"shape \(8, 8\) does not match m=2"):
         run(np.eye(8) / 8, PAIR2, ChannelFamily.ssc(), Schedule.cyclic(), 1)
     assert calls == []
